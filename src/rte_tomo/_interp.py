@@ -1,9 +1,10 @@
 """Bilinear sampling on pixel rasters, with exact transposes.
 
 Values live at pixel centers; sampling decays linearly to zero within one
-cell beyond the outermost centers and is zero further out.  Gathers are
-expressed as index/weight tables so the transposed scatter is the exact
-adjoint of the gather.
+cell beyond the outermost centers and is zero further out.  A gather is one
+CSR matrix with four stored entries per point, one per cell corner in a
+fixed order (corners outside the raster keep a zero weight), so sampling is
+``matrix @ x`` and the exact adjoint scatter is ``matrix.T @ v``.
 """
 
 from __future__ import annotations
@@ -13,79 +14,49 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-
-def _corner_tables(grid, points):
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
-    v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
-    iu = np.floor(u).astype(np.int64)
-    iv = np.floor(v).astype(np.int64)
-    fu = u - iu
-    fv = v - iv
-    n = len(points)
-    idx = np.zeros((4, n), dtype=np.int64)
-    wts = np.zeros((4, n))
-    corners = ((0, 0, (1 - fu) * (1 - fv)), (1, 0, fu * (1 - fv)),
-               (0, 1, (1 - fu) * fv), (1, 1, fu * fv))
-    for k, (dx, dy, w) in enumerate(corners):
-        ix = iu + dx
-        iy = iv + dy
-        ok = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-        idx[k] = np.where(ok, iy * grid.nx + ix, 0)
-        wts[k] = np.where(ok, w, 0.0)
-    return idx, wts
+# Cell corners (dx, dy) in stored order.
+_CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
 @dataclass
 class BilinearGather:
     """Precomputed bilinear interpolation at a fixed set of points."""
 
-    idx: np.ndarray   # (4, n) flat pixel indices
-    wts: np.ndarray   # (4, n) weights, zeroed outside the raster
-    n_pixels: int
+    matrix: sp.csr_matrix   # (n_points, n_pixels)
 
     @classmethod
     def at_points(cls, grid, points):
-        idx, wts = _corner_tables(grid, points)
-        return cls(idx=idx, wts=wts, n_pixels=grid.n_pixels)
-
-    @property
-    def n_points(self):
-        return self.idx.shape[1]
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        n = len(points)
+        u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
+        v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
+        iu = np.floor(u)
+        iv = np.floor(v)
+        fu = u - iu
+        fv = v - iv
+        iu = iu.astype(np.int64)
+        iv = iv.astype(np.int64)
+        indices = np.empty((n, 4), dtype=np.int32)
+        data = np.empty((n, 4))
+        for k, (dx, dy) in enumerate(_CORNERS):
+            ix = iu + dx
+            iy = iv + dy
+            ok = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
+            indices[:, k] = np.where(ok, iy * grid.nx + ix, 0)
+            w = (fu if dx else 1 - fu) * (fv if dy else 1 - fv)
+            data[:, k] = np.where(ok, w, 0.0)
+        indptr = 4 * np.arange(n + 1, dtype=np.int32)
+        matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+                               shape=(n, grid.n_pixels))
+        return cls(matrix=matrix)
 
     def apply(self, flat_raster):
         """Sample; flat_raster has shape (n_pixels,) or (n_pixels, B)."""
-        out = self.wts[0][..., None] * flat_raster[self.idx[0]] if flat_raster.ndim == 2 \
-            else self.wts[0] * flat_raster[self.idx[0]]
-        for k in range(1, 4):
-            if flat_raster.ndim == 2:
-                out += self.wts[k][:, None] * flat_raster[self.idx[k]]
-            else:
-                out += self.wts[k] * flat_raster[self.idx[k]]
-        return out
+        return self.matrix @ flat_raster
 
     def apply_transpose(self, values):
         """Exact transpose scatter; values shape (n,) or (n, B)."""
-        if values.ndim == 1:
-            out = np.zeros(self.n_pixels)
-            for k in range(4):
-                out += np.bincount(self.idx[k], weights=self.wts[k] * values,
-                                   minlength=self.n_pixels)
-            return out
-        out = np.zeros((self.n_pixels, values.shape[1]))
-        for b in range(values.shape[1]):
-            col = values[:, b]
-            for k in range(4):
-                out[:, b] += np.bincount(self.idx[k], weights=self.wts[k] * col,
-                                         minlength=self.n_pixels)
-        return out
-
-    def as_sparse(self):
-        n = self.n_points
-        rows = np.tile(np.arange(n), 4)
-        cols = self.idx.reshape(-1)
-        data = self.wts.reshape(-1)
-        return sp.csr_matrix((data, (rows, cols)), shape=(n, self.n_pixels))
+        return self.matrix.T @ values
 
 
 def bilinear_sample(grid, raster, points):

@@ -125,8 +125,8 @@ _SCHEMA = {
 def parse_config(text):
     """Parse and validate a flat `section.key = value` document.
 
-    Unknown and duplicate keys, malformed lines, and bad values are all
-    rejected with their line number.
+    Unknown and duplicate keys, malformed lines, non-finite numbers and
+    bad values are all rejected with their line number.
     """
     cfg = RunConfig()
     seen = set()
@@ -146,11 +146,14 @@ def parse_config(text):
         seen.add(key)
         attr, conv = _SCHEMA[key]
         try:
-            setattr(cfg, attr, conv(value))
+            parsed = conv(value)
         except ValueError:
             raise ConfigError(
                 f"line {lineno}: cannot parse '{value}' as {conv.__name__} "
                 f"for '{key}'") from None
+        if conv is float and not math.isfinite(parsed):
+            raise ConfigError(f"line {lineno}: '{key}' must be finite, got '{value}'")
+        setattr(cfg, attr, parsed)
     _validate(cfg)
     return cfg
 
@@ -172,6 +175,10 @@ def _validate(cfg):
         raise ConfigError("solver.h_ray must be nonnegative (0 selects the default)")
     if cfg.cutoff_transition_width < 0.0:
         raise ConfigError("cutoff.transition_width must be nonnegative")
+    if cfg.scattering_total < 0.0:
+        raise ConfigError("scattering.total must be nonnegative")
+    if cfg.source_radius <= 0.0:
+        raise ConfigError("source.radius must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -386,13 +393,7 @@ def _cmd_forward(cfg, rep):
                                phantom=phantom)
     rep.solve_report(srep)
     rep.value("field_phase_norm", field.norm())
-    scatter = field.source_scatter[..., None] if field.source_scatter is not None else None
-    src = field.source_f
-    if isinstance(src, np.ndarray):
-        src = src.reshape(-1, 1)
-    trace = solver.trace_phase(scatter, src)[..., 0]
-    from .transport import BoundaryData
-    bd = BoundaryData(bgrid=solver.bgrid, values=trace)
+    bd = solver.trace_field(field)
     rep.value("trace_norm", bd.norm())
     rep.check("trace_zero_on_incoming",
               bool(np.all(bd.values[~solver.bgrid.outgoing] == 0.0)))

@@ -116,9 +116,9 @@ class AngularField:
 class AbsorptionField(AngularField):
     """Nonnegative absorption sigma(x, theta) as truncated angular modes."""
 
-    def __init__(self, grid, modes, validate=True):
+    def __init__(self, grid, modes):
         super().__init__(grid, modes)
-        if validate and self.modes:
+        if self.modes:
             self._check_nonnegative()
 
     def _check_nonnegative(self):
@@ -134,7 +134,7 @@ class AbsorptionField(AngularField):
 
     @classmethod
     def zero(cls, grid):
-        return cls(grid, modes=(), validate=False)
+        return cls(grid, modes=())
 
     @classmethod
     def constant(cls, grid, geom, value):

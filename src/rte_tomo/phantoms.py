@@ -1,8 +1,8 @@
 """Analytic source phantoms supported in the inner disk.
 
 Phantoms are callables on (..., 2) point arrays.  Piecewise-constant ones
-also report where a given chord crosses their jump set, so ray quadratures
-can split integration cells exactly at discontinuities.
+also list their jump circles, so ray quadratures can split integration
+cells exactly at discontinuities.
 """
 
 from __future__ import annotations
@@ -13,19 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-
-
-def _segment_circle_crossings(origin, direction, center, radius, t_lo, t_hi):
-    """Parameters t in (t_lo, t_hi) where origin + t*dir meets a circle."""
-    o = np.asarray(origin, dtype=float) - np.asarray(center, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    b = float(o @ d)
-    c = float(o @ o) - radius * radius
-    disc = b * b - c
-    if disc <= 0.0:
-        return []
-    root = math.sqrt(disc)
-    return [t for t in (-b - root, -b + root) if t_lo < t < t_hi]
 
 
 @dataclass(frozen=True)
@@ -40,10 +27,6 @@ class DiskPhantom:
         pts = np.asarray(points, dtype=float)
         d2 = (pts[..., 0] - self.center[0]) ** 2 + (pts[..., 1] - self.center[1]) ** 2
         return np.where(d2 <= self.radius**2, self.value, 0.0)
-
-    def ray_breakpoints(self, origin, direction, t_lo, t_hi):
-        return _segment_circle_crossings(origin, direction, self.center,
-                                         self.radius, t_lo, t_hi)
 
     def jump_circles(self):
         return [(self.center[0], self.center[1], self.radius)]
@@ -70,9 +53,6 @@ class GaussianPhantom:
         d2 = (pts[..., 0] - self.center[0]) ** 2 + (pts[..., 1] - self.center[1]) ** 2
         return self.amplitude * np.exp(-d2 / (2.0 * self.width**2))
 
-    def ray_breakpoints(self, origin, direction, t_lo, t_hi):
-        return []
-
     def jump_circles(self):
         return []
 
@@ -87,12 +67,6 @@ class MultiPhantom:
         out = 0.0
         for p in self.parts:
             out = out + p(points)
-        return out
-
-    def ray_breakpoints(self, origin, direction, t_lo, t_hi):
-        out = []
-        for p in self.parts:
-            out.extend(p.ray_breakpoints(origin, direction, t_lo, t_hi))
         return out
 
     def jump_circles(self):
@@ -124,10 +98,6 @@ class ConstantPhantom:
         pts = np.asarray(points, dtype=float)
         d2 = pts[..., 0] ** 2 + pts[..., 1] ** 2
         return np.where(d2 <= self.radius**2, self.value, 0.0)
-
-    def ray_breakpoints(self, origin, direction, t_lo, t_hi):
-        return _segment_circle_crossings(origin, direction, (0.0, 0.0),
-                                         self.radius, t_lo, t_hi)
 
     def jump_circles(self):
         return [(0.0, 0.0, self.radius)]

@@ -34,8 +34,16 @@ from .transport import BoundaryData, TransportSolver, phase_norm
 
 TWO_PI = 2.0 * math.pi
 
+# Unit-source columns measured per xv_apply call during matrix assembly.
+ASSEMBLY_BATCH = 64
+# Pixel rows per block of the singular-kernel quadrature.
+KERNEL_CHUNK = 256
+# Largest problem assembled as a dense matrix.
+DENSE_MAX_PIXELS = 1024
+DENSE_MAX_THETA = 32
 
-def _make_solver(spec, sigma, kernel, geom, grid, n_theta, n_bdry, h_ray,
+
+def _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry, h_ray,
                  tol, max_iter, solver):
     if solver is not None:
         return solver
@@ -44,6 +52,12 @@ def _make_solver(spec, sigma, kernel, geom, grid, n_theta, n_bdry, h_ray,
     return TransportSolver(geom=geom, grid=grid, sigma=sigma, kernel=kernel,
                            n_theta=n_theta, n_bdry=n_bdry, h_ray=h_ray,
                            tol=tol, max_iter=max_iter)
+
+
+def _dense_fits(solver):
+    """Whether the solver's problem is small enough for dense assembly."""
+    return (solver.grid.n_pixels <= DENSE_MAX_PIXELS
+            and solver.n_theta <= DENSE_MAX_THETA)
 
 
 def series_length(solver):
@@ -124,7 +138,7 @@ def ray_transform(spec, sigma, geom, f, grid=None, n_theta=64, n_bdry=256,
     through ``phantom`` and are integrated with quadrature cells split at
     their jump circles.
     """
-    solver = _make_solver(spec, sigma, None, geom, grid, n_theta, n_bdry,
+    solver = _make_solver(sigma, None, geom, grid, n_theta, n_bdry,
                           h_ray, 1e-10, 200, solver)
     if phantom is not None:
         values = solver.trace_phase(None, phantom)[..., 0]
@@ -254,7 +268,7 @@ def _angle_lookup(stack_t, cols, ang, n_angles):
 
 
 def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64,
-                           step=None, chunk=256):
+                           step=None):
     """Apply the ballistic normal operator by direct singular quadrature.
 
     Off-diagonal pairs use the kernel w(x, y)/|y - x| with
@@ -290,8 +304,8 @@ def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64,
     src_pts = pts[src]
     src_f = f_flat[src]
     area = grid.pixel_area
-    for start in range(0, len(rows), chunk):
-        r = rows[start:start + chunk]
+    for start in range(0, len(rows), KERNEL_CHUNK):
+        r = rows[start:start + KERNEL_CHUNK]
         dy = src_pts[None, :, :] - pts[r][:, None, :]
         dist = np.hypot(dy[..., 0], dy[..., 1])
         np.maximum(dist, 1e-300, out=dist)
@@ -366,7 +380,7 @@ class OperatorMatrix:
         return np.linalg.svd(b, compute_uv=False)
 
 
-def assemble_xv_matrix(solver, spec, col_pixels=None, n_terms=None, batch=64):
+def assemble_xv_matrix(solver, spec, col_pixels=None, n_terms=None):
     """Assemble the measurement operator column by column.
 
     Columns march in increasing pixel index; each is the measurement of a
@@ -381,8 +395,8 @@ def assemble_xv_matrix(solver, spec, col_pixels=None, n_terms=None, batch=64):
         n_terms = series_length(solver)
     n_rows = solver.bgrid.n_bdry * solver.n_theta
     matrix = np.empty((n_rows, len(col_pixels)))
-    for start in range(0, len(col_pixels), batch):
-        idx = col_pixels[start:start + batch]
+    for start in range(0, len(col_pixels), ASSEMBLY_BATCH):
+        idx = col_pixels[start:start + ASSEMBLY_BATCH]
         f = np.zeros((grid.n_pixels, len(idx)))
         f[idx, np.arange(len(idx))] = 1.0
         b = solver.xv_apply(f, spec, n_terms)
@@ -429,15 +443,14 @@ def normal_operator_full(spec, sigma, kernel, geom, f, grid=None, n_theta=64,
     grids, or the transposed source iteration at matched series length on
     large ones; the two agree to roundoff by construction.
     """
-    solver = _make_solver(spec, sigma, kernel, geom, grid, n_theta, n_bdry,
+    solver = _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry,
                           h_ray, tol, max_iter, solver)
     grid = solver.grid
     f_flat = solver._f_flat(f, None)[:, 0]
     omega = solver._omega_flat
     m = series_length(solver)
     if method == "auto":
-        small = grid.n_pixels <= 1024 and solver.n_theta <= 32
-        method = "matrix" if small else "iterative"
+        method = "matrix" if _dense_fits(solver) else "iterative"
     if method == "matrix":
         op = assemble_xv_matrix(solver, spec, n_terms=m)
         cols = op.col_pixels
@@ -482,7 +495,7 @@ def point_source_pairing(spec, sigma, kernel, geom, f, z, grid=None,
     The delta at pixel z carries weight 1/pixel-area, so the pairing equals
     the normal-operator image at z up to floating-point accumulation order.
     """
-    solver = _make_solver(spec, sigma, kernel, geom, grid, n_theta, n_bdry,
+    solver = _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry,
                           h_ray, tol, max_iter, solver)
     grid = solver.grid
     if np.ndim(z) == 1 or isinstance(z, tuple):
@@ -507,7 +520,7 @@ def point_source_pairing(spec, sigma, kernel, geom, f, z, grid=None,
 
 
 def svd_injectivity(spec, sigma, kernel, geom, support_mask, n_bdry=256,
-                    h_ray=None, tol=1e-10, max_iter=200, n_theta=None,
+                    h_ray=None, tol=1e-10, max_iter=200, n_theta=16,
                     solver=None, return_operator=False):
     """Smallest singular values on visible and shadowed pixel supports.
 
@@ -517,13 +530,13 @@ def svd_injectivity(spec, sigma, kernel, geom, support_mask, n_bdry=256,
     cannot see.  An empty shadowed set maps to 0 since the restricted
     operator has no columns to be small on.
     """
-    grid = support_mask.grid
-    if n_theta is None:
-        n_theta = 16
-    if grid.n_pixels > 1024 or n_theta > 32:
-        raise ValueError("dense SVD requires at most 32x32 pixels and 32 angles")
-    solver = _make_solver(spec, sigma, kernel, geom, grid, n_theta, n_bdry,
-                          h_ray, tol, max_iter, solver)
+    solver = _make_solver(sigma, kernel, geom, support_mask.grid, n_theta,
+                          n_bdry, h_ray, tol, max_iter, solver)
+    if not _dense_fits(solver):
+        raise ValueError(
+            f"dense SVD requires at most {DENSE_MAX_PIXELS} pixels and "
+            f"{DENSE_MAX_THETA} angles")
+    grid = solver.grid
     m = series_length(solver)
     omega = solver._omega_flat.reshape(grid.ny, grid.nx)
     eroded = ndimage.binary_erosion(support_mask.visible, iterations=2) & omega
@@ -573,8 +586,8 @@ def high_frequency_fraction(values, grid):
 def smoothing_diagnostic(sigma, kernel, geom, f_rough, n_bdry=8, solver=None):
     """High-frequency energy fraction before and after one K T1^{-1} pass."""
     grid = f_rough.grid
-    solver = _make_solver(None, sigma, kernel, geom, grid, f_rough.n_theta,
-                          n_bdry, None, 1e-10, 200, solver)
+    solver = _make_solver(sigma, kernel, geom, grid, f_rough.n_theta, n_bdry,
+                          None, 1e-10, 200, solver)
     before = high_frequency_fraction(f_rough.values, grid)
     v = f_rough.values.reshape(f_rough.n_theta, -1, 1)
     smoothed = solver.k_apply(solver.t1_apply(v))
@@ -661,25 +674,23 @@ def edge_strengths(values, grid, points, normals, jumps, window=3):
 
 def wavefront_image(spec, sigma, kernel, geom, phantom, grid=None, n_theta=64,
                     n_bdry=256, h_ray=None, tol=1e-10, max_iter=200,
-                    n_edge=96, window=3, method="auto", solver=None):
+                    n_edge=96, solver=None):
     """Normal-operator image of a phantom plus its edge-response report.
 
     Edge strength at a labeled point (z, xi) is the trend-cancelling
-    finite difference of N along xi over a window of the given pixel
-    width; see edge_strengths.  The report groups edges by
+    finite difference of N along xi over edge_strengths' default window;
+    see edge_strengths.  The report groups edges by
     microvisibility of (z, xi).
     """
     from .phantoms import rasterize
 
-    solver = _make_solver(spec, sigma, kernel, geom, grid, n_theta, n_bdry,
+    solver = _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry,
                           h_ray, tol, max_iter, solver)
     grid = solver.grid
     f = rasterize(phantom, grid, geom)
-    image = normal_operator_full(spec, sigma, kernel, geom, f, method=method,
-                                 solver=solver)
+    image = normal_operator_full(spec, sigma, kernel, geom, f, solver=solver)
     pts, normals, jumps = phantom.edge_points(n_edge)
-    strengths = edge_strengths(image.values, grid, pts, normals, jumps,
-                               window=window)
+    strengths = edge_strengths(image.values, grid, pts, normals, jumps)
     visible = np.array([
         microvisible(spec, geom, pts[i], normals[i]) for i in range(len(pts))
     ])

@@ -32,6 +32,10 @@ TWO_PI = 2.0 * math.pi
 # is above 1 minus this margin.
 CONTRACTION_MARGIN = 1e-3
 
+# Power-iteration steps and start-vector seed of the spectral radius estimate.
+POWER_STEPS = 30
+POWER_SEED = 0
+
 
 class NonConvergenceError(RuntimeError):
     """Raised when the scattering fixed point cannot be trusted to converge."""
@@ -185,9 +189,9 @@ class TransportSolver:
             perp = np.array([-th[1], th[0]])
             X, Y = np.meshgrid(grid.xs, grid.ys)
             rot_pts = X[..., None] * th + Y[..., None] * perp
-            to_list.append(BilinearGather.at_points(grid, rot_pts.reshape(-1, 2)).as_sparse())
+            to_list.append(BilinearGather.at_points(grid, rot_pts.reshape(-1, 2)).matrix)
             back_pts = np.stack([pts @ th, pts @ perp], axis=-1)
-            back_list.append(BilinearGather.at_points(grid, back_pts).as_sparse())
+            back_list.append(BilinearGather.at_points(grid, back_pts).matrix)
             sig_list.append(self.sigma.sample(rot_pts, float(self.theta_angles[q])))
         self._rot = (to_list, back_list)
         h2 = 0.5 * self._h_march
@@ -245,12 +249,6 @@ class TransportSolver:
         integrals = np.einsum("jq,qnb->jnb", theta_mat, values)
         moments = np.einsum("jmn,jnb->mnb", ka, integrals)
         return self.w_theta * np.einsum("mq,mnb->qnb", trig, moments)
-
-    def _march(self, g_rot):
-        ny, nx = self.grid.ny, self.grid.nx
-        h2 = 0.5 * self._h_march
-        u = np.zeros_like(g_rot)
-        return u, h2, nx
 
     def t1_apply(self, values):
         """Free-streaming solve with absorption: u = T1^{-1} g, g = values."""
@@ -388,22 +386,22 @@ class TransportSolver:
 
     # -- spectral estimate and fixed point ----------------------------------
 
-    def spectral_radius(self, steps=30, seed=0):
+    def spectral_radius(self):
         """Power-iteration estimate of the scattering contraction rate.
 
-        Runs on the square of (K T1^{-1}) and returns the square root of the
-        final growth ratio.
+        Runs POWER_STEPS steps on the square of (K T1^{-1}) from a seeded
+        random start and returns the square root of the final growth ratio.
         """
         if self._rho is not None:
             return self._rho
         if self.kernel.is_zero:
             self._rho = 0.0
             return 0.0
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(POWER_SEED)
         v = rng.standard_normal((self.n_theta, self.grid.n_pixels, 1))
         v /= phase_norm(v, self.grid)
         ratio = 0.0
-        for _ in range(steps):
+        for _ in range(POWER_STEPS):
             w = self.k_apply(self.t1_apply(self.k_apply(self.t1_apply(v))))
             n = float(phase_norm(w, self.grid)[0])
             if n == 0.0:
@@ -494,17 +492,25 @@ class TransportSolver:
 
     # -- measurement operator ------------------------------------------------
 
-    def measurement(self, spec, f=None, phantom=None):
-        """Partial boundary measurement chi * (trace of the solved field)."""
-        field, report = self.solve(f=f, phantom=phantom)
+    def trace_field(self, field):
+        """Outgoing boundary trace of a field from its recorded source.
+
+        The raster or phantom in ``field.source_f`` and the scattering
+        source in ``field.source_scatter`` go through trace_phase.
+        """
         scatter = None
         if field.source_scatter is not None:
             scatter = field.source_scatter[..., None]
         src = field.source_f
         if isinstance(src, np.ndarray):
             src = src.reshape(-1, 1)
-        b = self.trace_phase(scatter, src)[..., 0]
-        values = self.chi_values(spec) * b
+        values = self.trace_phase(scatter, src)[..., 0]
+        return BoundaryData(bgrid=self.bgrid, values=values)
+
+    def measurement(self, spec, f=None, phantom=None):
+        """Partial boundary measurement chi * (trace of the solved field)."""
+        field, report = self.solve(f=f, phantom=phantom)
+        values = self.chi_values(spec) * self.trace_field(field).values
         return BoundaryData(bgrid=self.bgrid, values=values), report
 
     def xv_apply(self, f_flat, spec, n_terms):
@@ -621,14 +627,7 @@ def trace_plus(u, geom, n_bdry=256, h_ray=None, sigma=None):
     solver = TransportSolver(geom=geom, grid=u.grid, sigma=sigma,
                              n_theta=u.n_theta, n_bdry=n_bdry, h_ray=h_ray)
     if u.source_f is not None or u.source_scatter is not None:
-        scatter = None
-        if u.source_scatter is not None:
-            scatter = u.source_scatter[..., None]
-        src = u.source_f
-        if isinstance(src, np.ndarray):
-            src = src.reshape(-1, 1)
-        values = solver.trace_phase(scatter, src)[..., 0]
-        return BoundaryData(bgrid=solver.bgrid, values=values)
+        return solver.trace_field(u)
     bg = solver.bgrid
     from ._interp import bilinear_sample
     from .coefficients import ray_absorption

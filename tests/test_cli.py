@@ -128,6 +128,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="transition_width"):
             parse_config("cutoff.transition_width = -0.5\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("absorption.value = inf\n", "line 1: 'absorption.value' must be finite"),
+        ("grid.nx = 16\nabsorption.value = nan\n",
+         "line 2: 'absorption.value' must be finite"),
+        ("source.center_x = -inf\n", "line 1: 'source.center_x' must be finite"),
+        ("scattering.total = -0.5\n", "scattering.total must be nonnegative"),
+        ("source.radius = -0.2\n", "source.radius must be positive"),
+        ("source.radius = 0\n", "source.radius must be positive"),
+    ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
+            "zero-radius"])
+    def test_bad_values_rejected(self, text, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(text)
+
 
 class TestExitCodes:
     def test_config_error_exits_one(self, tmp_path, capsys):
@@ -135,6 +149,13 @@ class TestExitCodes:
                          "geometry.R = 1.5\ngeometry.R1 = 1.0\n")
         assert code == 1
         assert "config error:" in capsys.readouterr().err
+
+    def test_infinite_absorption_exits_one(self, tmp_path, capsys):
+        text = TINY + "absorption.preset = constant\nabsorption.value = inf\n"
+        code, out_dir = launch(tmp_path, "measure", text)
+        assert code == 1
+        assert "'absorption.value' must be finite" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_missing_config_flag_exits_one(self, capsys):
         assert cli.main(["forward"]) == 1

@@ -362,6 +362,16 @@ class TestSvdInjectivity:
             svd_injectivity(CutoffSpec.full_data(), sigma,
                             ScatteringKernel.zero(grid), GEOM, mask,
                             n_theta=16)
+        # A passed solver with too many directions is refused as well.
+        grid = Grid(16, 16, 1.2)
+        sigma = AbsorptionField.zero(grid)
+        kernel = ScatteringKernel.zero(grid)
+        mask = visible_mask(CutoffSpec.full_data(), GEOM, grid)
+        solver = TransportSolver(geom=GEOM, grid=grid, sigma=sigma,
+                                 kernel=kernel, n_theta=64, n_bdry=32)
+        with pytest.raises(ValueError, match="dense SVD"):
+            svd_injectivity(CutoffSpec.full_data(), sigma, kernel, GEOM, mask,
+                            solver=solver)
 
     def test_weighted_adjoint_is_exact_and_gram_symmetric(self):
         grid = Grid(16, 16, 1.2)

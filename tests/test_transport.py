@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rte_tomo._interp import BilinearGather
 from rte_tomo.coefficients import AbsorptionField, ScatteringKernel
 from rte_tomo.geometry import CutoffSpec, DiskGeometry, Grid
 from rte_tomo.phantoms import DiskPhantom
@@ -314,6 +315,33 @@ class TestAdjointPairs:
         return TransportSolver(geom=GEOM, grid=grid, sigma=sigma,
                                kernel=kernel or ScatteringKernel.zero(grid),
                                n_theta=8, n_bdry=24)
+
+    def test_bilinear_gather_transpose(self):
+        grid = Grid(14, 11, 1.0)
+        rng = np.random.default_rng(5)
+        pts = rng.uniform(-1.5, 1.5, (400, 2))
+        gather = BilinearGather.at_points(grid, pts)
+        for shape in ((), (3,)):
+            x = rng.standard_normal((grid.n_pixels,) + shape)
+            v = rng.standard_normal((len(pts),) + shape)
+            lhs = float(np.sum(gather.apply(x) * v))
+            rhs = float(np.sum(x * gather.apply_transpose(v)))
+            assert gather.apply(x).shape == v.shape
+            assert gather.apply_transpose(v).shape == x.shape
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+        c = grid.centers()
+        affine = 0.7 - 1.3 * c[..., 0] + 2.1 * c[..., 1]
+        sampled = gather.apply(affine.reshape(-1))
+        inner = ((pts[:, 0] >= grid.xs[0]) & (pts[:, 0] <= grid.xs[-1])
+                 & (pts[:, 1] >= grid.ys[0]) & (pts[:, 1] <= grid.ys[-1]))
+        assert inner.sum() >= 100
+        expected = 0.7 - 1.3 * pts[:, 0] + 2.1 * pts[:, 1]
+        assert np.max(np.abs(sampled[inner] - expected[inner])) <= 1e-12
+        far = ((np.abs(pts[:, 0]) > grid.half_width + grid.hx)
+               | (np.abs(pts[:, 1]) > grid.half_width + grid.hy))
+        assert far.sum() >= 50
+        dense = rng.uniform(1.0, 2.0, grid.n_pixels)
+        assert np.all(gather.apply(dense)[far] == 0.0)
 
     def test_streaming_transpose(self):
         s = self._solver()
