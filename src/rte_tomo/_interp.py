@@ -5,6 +5,11 @@ cell beyond the outermost centers and is zero further out.  A gather is one
 CSR matrix with four stored entries per point, one per cell corner in a
 fixed order (corners outside the raster keep a zero weight), so sampling is
 ``matrix @ x`` and the exact adjoint scatter is ``matrix.T @ v``.
+
+``summed(weights)`` folds a gather at consecutive groups of points (the
+quadrature cells of one chord after another) into one row per group, each
+row the weighted sum of its group's samples; the result is again a gather,
+so it samples with ``apply`` and scatters with ``apply_transpose``.
 """
 
 from __future__ import annotations
@@ -49,6 +54,24 @@ class BilinearGather:
         matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
                                shape=(n, grid.n_pixels))
         return cls(matrix=matrix)
+
+    def summed(self, weights):
+        """Gather of weighted sums over consecutive groups of points.
+
+        weights has shape (n_groups, group_size) and covers the points in
+        order; row g of the result is sum_k weights[g, k] * (row g*group_size
+        + k of this gather).  Repeated pixels of a row are merged.
+        """
+        weights = np.asarray(weights, dtype=float)
+        n_groups, size = weights.shape
+        if 4 * weights.size != self.matrix.nnz:
+            raise ValueError("weights do not cover the gather's points")
+        data = self.matrix.data * np.repeat(weights.reshape(-1), 4)
+        indptr = 4 * size * np.arange(n_groups + 1, dtype=np.int64)
+        matrix = sp.csr_matrix((data, self.matrix.indices.copy(), indptr),
+                               shape=(n_groups, self.matrix.shape[1]))
+        matrix.sum_duplicates()
+        return BilinearGather(matrix=matrix)
 
     def apply(self, flat_raster):
         """Sample; flat_raster has shape (n_pixels,) or (n_pixels, B)."""

@@ -28,7 +28,18 @@ from .tomography import (
     smoothing_diagnostic,
     wavefront_image,
 )
-from .transport import NonConvergenceError, TransportSolver, apply_J
+from .transport import (
+    RAY_STEPS_PER_RADIUS,
+    NonConvergenceError,
+    TransportSolver,
+    apply_J,
+)
+
+# Cap on the boundary-trace quadrature cells of one direction, estimated as
+# (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's cells takes about
+# 320 bytes a cell at its peak, so the cap keeps that near 650 MiB; the
+# default h_ray = R1 / 256 at n_bdry = 256 needs 65536 cells.
+MAX_TRACE_CELLS = 2**21
 
 COMMANDS = ("forward", "measure", "normal", "visible-set", "symbol", "svd",
             "wavefront", "smoothing")
@@ -179,6 +190,13 @@ def _validate(cfg):
         raise ConfigError("scattering.total must be nonnegative")
     if cfg.source_radius <= 0.0:
         raise ConfigError("source.radius must be positive")
+    h_ray = cfg.solver_h_ray or cfg.radius_outer / RAY_STEPS_PER_RADIUS
+    cells = 0.5 * cfg.n_bdry * 2.0 * cfg.radius_outer / h_ray
+    if cells > MAX_TRACE_CELLS:
+        raise ConfigError(
+            f"solver.h_ray = {h_ray:g} with grid.n_bdry = {cfg.n_bdry} needs about "
+            f"{cells:.3g} boundary-trace cells per direction; the cap is "
+            f"{MAX_TRACE_CELLS} (raise solver.h_ray or lower grid.n_bdry)")
 
 
 # ---------------------------------------------------------------------------
@@ -194,39 +212,60 @@ def build_grid(cfg):
     return Grid(nx=cfg.nx, ny=cfg.ny, half_width=cfg.radius_outer)
 
 
+# Config keys whose values a coefficient preset checks when it is built.
+_COEFFICIENT_KEYS = {
+    ("absorption", "constant"): "absorption.value",
+    ("absorption", "gaussian"): "absorption.amplitude",
+    ("absorption", "cosine"): "absorption.amplitude' and 'absorption.base",
+    ("absorption", "csv"): "absorption.path",
+    ("scattering", "henyey-greenstein"): "scattering.g",
+}
+
+
+def _coefficient_error(kind, preset, exc):
+    key = _COEFFICIENT_KEYS.get((kind, preset), f"{kind}.preset")
+    return ConfigError(f"'{key}' rejected by the {preset} {kind} preset: {exc}")
+
+
 def build_absorption(cfg, grid, geom):
     preset = cfg.absorption_preset
-    if preset == "zero":
-        return AbsorptionField.zero(grid)
-    if preset == "constant":
-        return AbsorptionField.constant(grid, geom, cfg.absorption_value)
-    if preset == "gaussian":
-        return AbsorptionField.gaussian(
-            grid, geom, cfg.absorption_amplitude,
-            center=(cfg.absorption_center_x, cfg.absorption_center_y),
-            width=cfg.absorption_width)
-    if preset == "cosine":
-        return AbsorptionField.cosine_anisotropic(
-            grid, geom, cfg.absorption_base, cfg.absorption_amplitude,
-            order=cfg.absorption_order)
-    if preset == "csv":
-        raster, _ = formats.read_grid_csv(_existing_path(cfg.absorption_path))
-        if raster.shape != (grid.ny, grid.nx):
-            raise ConfigError("absorption CSV shape does not match grid.nx/ny")
-        return AbsorptionField.from_raster(grid, geom, raster)
+    try:
+        if preset == "zero":
+            return AbsorptionField.zero(grid)
+        if preset == "constant":
+            return AbsorptionField.constant(grid, geom, cfg.absorption_value)
+        if preset == "gaussian":
+            return AbsorptionField.gaussian(
+                grid, geom, cfg.absorption_amplitude,
+                center=(cfg.absorption_center_x, cfg.absorption_center_y),
+                width=cfg.absorption_width)
+        if preset == "cosine":
+            return AbsorptionField.cosine_anisotropic(
+                grid, geom, cfg.absorption_base, cfg.absorption_amplitude,
+                order=cfg.absorption_order)
+        if preset == "csv":
+            raster, _ = formats.read_grid_csv(_existing_path(cfg.absorption_path))
+            if raster.shape != (grid.ny, grid.nx):
+                raise ConfigError("absorption CSV shape does not match grid.nx/ny")
+            return AbsorptionField.from_raster(grid, geom, raster)
+    except ValueError as exc:
+        raise _coefficient_error("absorption", preset, exc) from None
     raise ConfigError(f"unknown absorption preset '{preset}'")
 
 
 def build_scattering(cfg, grid, geom):
     preset = cfg.scattering_preset
-    if preset == "zero":
-        return ScatteringKernel.zero(grid)
-    if preset == "isotropic":
-        return ScatteringKernel.isotropic(grid, geom, cfg.scattering_total)
-    if preset == "henyey-greenstein":
-        return ScatteringKernel.henyey_greenstein(
-            grid, geom, cfg.scattering_total, cfg.scattering_g,
-            n_modes=cfg.scattering_n_modes)
+    try:
+        if preset == "zero":
+            return ScatteringKernel.zero(grid)
+        if preset == "isotropic":
+            return ScatteringKernel.isotropic(grid, geom, cfg.scattering_total)
+        if preset == "henyey-greenstein":
+            return ScatteringKernel.henyey_greenstein(
+                grid, geom, cfg.scattering_total, cfg.scattering_g,
+                n_modes=cfg.scattering_n_modes)
+    except ValueError as exc:
+        raise _coefficient_error("scattering", preset, exc) from None
     raise ConfigError(f"unknown scattering preset '{preset}'")
 
 

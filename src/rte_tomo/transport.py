@@ -12,7 +12,12 @@ operators built from them have machine-precision adjoint pairings.
 
 Boundary traces re-integrate the transport source along the exit chord with
 the same attenuated quadrature used by the ray transform; a field produced
-by a transport solve remembers its source for this purpose.
+by a transport solve remembers its source for this purpose.  For raster
+sources the quadrature does not depend on the input, so each solver folds
+it, once and on first use, into one sparse exit-chord operator per
+direction (one row per outgoing chord); tracing is a product with it and
+the transpose trace is the product with its transpose.  Analytic phantoms
+are integrated on cells refined at their jump circles on every trace.
 """
 
 from __future__ import annotations
@@ -31,6 +36,9 @@ TWO_PI = 2.0 * math.pi
 # Refuse the fixed-point solve when the scattering spectral radius estimate
 # is above 1 minus this margin.
 CONTRACTION_MARGIN = 1e-3
+
+# The default exit-chord quadrature step h_ray is R1 over this many steps.
+RAY_STEPS_PER_RADIUS = 256
 
 # Power-iteration steps and start-vector seed of the spectral radius estimate.
 POWER_STEPS = 30
@@ -143,7 +151,7 @@ def phase_norm(values, grid):
 
 
 def _phantom_circles(phantom):
-    if phantom is None or not hasattr(phantom, "jump_circles"):
+    if not hasattr(phantom, "jump_circles"):
         return []
     return list(phantom.jump_circles())
 
@@ -162,7 +170,9 @@ class TransportSolver:
         if self.sigma.grid != grid or self.kernel.grid != grid:
             raise ValueError("coefficient grids do not match the solver grid")
         self.n_theta = int(n_theta)
-        self.h_ray = h_ray if h_ray is not None else geom.radius_outer / 256.0
+        if h_ray is None:
+            h_ray = geom.radius_outer / RAY_STEPS_PER_RADIUS
+        self.h_ray = h_ray
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.theta_angles = TWO_PI * np.arange(self.n_theta) / self.n_theta
@@ -173,6 +183,7 @@ class TransportSolver:
         self._mask_flat = grid.disk_mask(geom.radius_outer).reshape(-1).astype(float)
         self._omega_flat = grid.disk_mask(geom.radius_inner).reshape(-1)
         self._rot = None
+        self._trace_ops = None
         self._march_A = None
         self._k_tables = None
         self._rho = None
@@ -299,7 +310,9 @@ class TransportSolver:
         Nodes sit on a lattice anchored at each exit point with step h_ray,
         refined at jump circles of an analytic source, then closed at the
         entry point.  Returns (outgoing indices, cell weights, midpoint
-        gather, midpoint coordinates).
+        gather, midpoint coordinates).  Raster traces use the cells without
+        circles once, through _trace_operators; analytic phantoms rebuild
+        their refined cells on every trace.
         """
         bg = self.bgrid
         out_idx = np.nonzero(bg.outgoing[:, q])[0]
@@ -336,43 +349,60 @@ class TransportSolver:
         gather = BilinearGather.at_points(self.grid, mids.reshape(-1, 2))
         return out_idx, weights, gather, mids
 
+    def _trace_operators(self):
+        """Per-direction (outgoing indices, exit-chord operator), built once.
+
+        Row c of operator q sums the weighted bilinear samples of the cells
+        of chord c of direction q, so it maps a raster source (N, B) to the
+        chord quadratures (n_out, B).
+        """
+        if self._trace_ops is None:
+            ops = []
+            for q in range(self.n_theta):
+                out_idx, weights, gather, _ = self._chord_cells(q, [])
+                ops.append((out_idx, gather.summed(weights)))
+            self._trace_ops = ops
+        return self._trace_ops
+
     def trace_phase(self, scatter, f_part):
         """Exit-chord quadrature of the transport source.
 
         scatter: (n_theta, N, B) raster source or None; f_part: (N, B)
-        raster or an analytic phantom broadcast over directions.  Returns
-        boundary values (n_bdry, n_theta, B).
+        raster, an analytic phantom broadcast over directions, or None.
+        Raster sources go through the cached per-direction operators; an
+        analytic phantom is integrated on cells refined at its jump
+        circles.  Returns boundary values (n_bdry, n_theta, B).
         """
         analytic = f_part is not None and not isinstance(f_part, np.ndarray)
-        circles = _phantom_circles(f_part) if analytic else []
         B = scatter.shape[2] if scatter is not None else (
             1 if analytic else f_part.shape[1])
-        bg = self.bgrid
-        out = np.zeros((bg.n_bdry, self.n_theta, B))
+        out = np.zeros((self.bgrid.n_bdry, self.n_theta, B))
+        if not analytic:
+            for q, (out_idx, op) in enumerate(self._trace_operators()):
+                if scatter is None:
+                    src = f_part
+                elif f_part is None:
+                    src = scatter[q]
+                else:
+                    src = scatter[q] + f_part
+                out[out_idx, q] = op.apply(src)
+            return out
+        circles = _phantom_circles(f_part)
         for q in range(self.n_theta):
             out_idx, weights, gather, mids = self._chord_cells(q, circles)
             n_c, n_cells = weights.shape
-            vals = np.zeros((n_c * n_cells, B))
-            if analytic:
-                vals += np.asarray(f_part(mids), dtype=float).reshape(-1, 1)
-            elif f_part is not None:
-                vals += gather.apply(f_part)
+            vals = np.asarray(f_part(mids), dtype=float).reshape(-1, 1)
             if scatter is not None:
-                vals += gather.apply(scatter[q])
+                vals = vals + gather.apply(scatter[q])
             cellw = (weights.reshape(-1, 1) * vals).reshape(n_c, n_cells, B)
             out[out_idx, q] = cellw.sum(axis=1)
         return out
 
     def trace_transpose(self, cot):
         """Exact transpose of trace_phase on full phase-space sources."""
-        N = self.grid.n_pixels
-        B = cot.shape[2]
-        out = np.zeros((self.n_theta, N, B))
-        for q in range(self.n_theta):
-            out_idx, weights, gather, _ = self._chord_cells(q, [])
-            n_c, n_cells = weights.shape
-            flat = (weights[..., None] * cot[out_idx, q][:, None, :]).reshape(-1, B)
-            out[q] = gather.apply_transpose(flat)
+        out = np.zeros((self.n_theta, self.grid.n_pixels, cot.shape[2]))
+        for q, (out_idx, op) in enumerate(self._trace_operators()):
+            out[q] = op.apply_transpose(cot[out_idx, q])
         return out
 
     def chi_values(self, spec):

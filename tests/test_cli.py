@@ -136,8 +136,12 @@ class TestParseConfig:
         ("scattering.total = -0.5\n", "scattering.total must be nonnegative"),
         ("source.radius = -0.2\n", "source.radius must be positive"),
         ("source.radius = 0\n", "source.radius must be positive"),
+        ("solver.h_ray = 1e-9\n",
+         "solver.h_ray = 1e-09 with grid.n_bdry = 256 needs about 3.07e+11"),
+        ("grid.n_bdry = 100000\n",
+         "solver.h_ray = 0.0046875 with grid.n_bdry = 100000 needs about"),
     ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
-            "zero-radius"])
+            "zero-radius", "tiny-ray-step", "huge-boundary-count"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
@@ -156,6 +160,23 @@ class TestExitCodes:
         assert code == 1
         assert "'absorption.value' must be finite" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("scattering.preset = henyey-greenstein\nscattering.g = 1.5\n",
+         "'scattering.g' rejected by the henyey-greenstein scattering preset"),
+        ("absorption.preset = constant\nabsorption.value = -1\n",
+         "'absorption.value' rejected by the constant absorption preset"),
+        ("absorption.preset = gaussian\nabsorption.amplitude = -0.2\n",
+         "'absorption.amplitude' rejected by the gaussian absorption preset"),
+        ("absorption.preset = cosine\nabsorption.base = 0.2\n"
+         "absorption.amplitude = 0.5\n",
+         "'absorption.amplitude' and 'absorption.base' rejected by the cosine"),
+    ], ids=["hg-anisotropy", "negative-constant", "negative-gaussian",
+            "cosine-above-base"])
+    def test_bad_coefficient_exits_one(self, tmp_path, capsys, text, message):
+        code, _ = launch(tmp_path, "measure", TINY + text)
+        assert code == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_config_flag_exits_one(self, capsys):
         assert cli.main(["forward"]) == 1

@@ -343,6 +343,48 @@ class TestAdjointPairs:
         dense = rng.uniform(1.0, 2.0, grid.n_pixels)
         assert np.all(gather.apply(dense)[far] == 0.0)
 
+    def test_trace_transpose(self):
+        s = self._solver()
+        rng = np.random.default_rng(6)
+        for B in (1, 8):
+            scatter = rng.standard_normal((8, s.grid.n_pixels, B))
+            f = rng.standard_normal((s.grid.n_pixels, B))
+            cot = rng.standard_normal((s.bgrid.n_bdry, 8, B))
+            lhs = float(np.sum(s.trace_phase(scatter, f) * cot))
+            rhs = float(np.sum((scatter + s.j_apply(f)) * s.trace_transpose(cot)))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_cached_trace_matches_cell_quadrature(self):
+        s = self._solver()
+        rng = np.random.default_rng(7)
+        scatter = rng.standard_normal((8, s.grid.n_pixels, 3))
+        f = rng.standard_normal((s.grid.n_pixels, 3))
+        ref = np.zeros((s.bgrid.n_bdry, 8, 3))
+        for q in range(8):
+            out_idx, weights, gather, _ = s._chord_cells(q, [])
+            vals = gather.apply(scatter[q]) + gather.apply(f)
+            cells = weights[..., None] * vals.reshape(weights.shape + (3,))
+            ref[out_idx, q] = cells.sum(axis=1)
+        got = s.trace_phase(scatter, f)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_trace_operators_are_built_once(self, monkeypatch):
+        s = self._solver()
+        builds = []
+        at_points = BilinearGather.at_points.__func__
+
+        def counted(cls, grid, points):
+            builds.append(len(points))
+            return at_points(cls, grid, points)
+
+        monkeypatch.setattr(BilinearGather, "at_points", classmethod(counted))
+        rng = np.random.default_rng(8)
+        f = rng.standard_normal((s.grid.n_pixels, 2))
+        first = s.trace_phase(None, f)
+        np.testing.assert_array_equal(s.trace_phase(None, f), first)
+        s.trace_transpose(rng.standard_normal((s.bgrid.n_bdry, 8, 2)))
+        assert len(builds) == s.n_theta
+
     def test_streaming_transpose(self):
         s = self._solver()
         rng = np.random.default_rng(0)
