@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import formats
+from . import _apply_thread_cap, formats
 from .coefficients import AbsorptionField, ScatteringKernel
 from .geometry import CutoffSpec, DiskGeometry, Grid, visible_mask
 from .phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
@@ -40,6 +39,12 @@ from .transport import (
 # 320 bytes a cell at its peak, so the cap keeps that near 650 MiB; the
 # default h_ray = R1 / 256 at n_bdry = 256 needs 65536 cells.
 MAX_TRACE_CELLS = 2**21
+
+# Cap on pixel-directions nx * ny * n_theta.  The stacked rotation gathers
+# and march factors keep 112 bytes per pixel-direction and a scattering solve
+# peaks near 180, so the cap keeps a solve near 750 MiB; the default 64x64
+# grid with 64 directions has 2**18.
+MAX_PIXEL_DIRECTIONS = 2**22
 
 COMMANDS = ("forward", "measure", "normal", "visible-set", "symbol", "svd",
             "wavefront", "smoothing")
@@ -190,6 +195,16 @@ def _validate(cfg):
         raise ConfigError("scattering.total must be nonnegative")
     if cfg.source_radius <= 0.0:
         raise ConfigError("source.radius must be positive")
+    for kind in ("source", "absorption"):
+        if (getattr(cfg, f"{kind}_preset") == "gaussian"
+                and getattr(cfg, f"{kind}_width") <= 0.0):
+            raise ConfigError(f"{kind}.width must be positive for the gaussian preset")
+    pixel_directions = cfg.nx * cfg.ny * cfg.n_theta
+    if pixel_directions > MAX_PIXEL_DIRECTIONS:
+        raise ConfigError(
+            f"grid.nx = {cfg.nx}, grid.ny = {cfg.ny} and grid.n_theta = {cfg.n_theta} "
+            f"give {pixel_directions} pixel-directions; the cap is "
+            f"{MAX_PIXEL_DIRECTIONS} (lower grid.nx, grid.ny or grid.n_theta)")
     h_ray = cfg.solver_h_ray or cfg.radius_outer / RAY_STEPS_PER_RADIUS
     cells = 0.5 * cfg.n_bdry * 2.0 * cfg.radius_outer / h_ray
     if cells > MAX_TRACE_CELLS:
@@ -333,7 +348,10 @@ def build_source(cfg, grid, geom):
                                   amplitude=cfg.source_amplitude)
         return rasterize(phantom, grid, geom), None
     if preset == "csv":
-        raster, _ = formats.read_grid_csv(_existing_path(cfg.source_path))
+        try:
+            raster, _ = formats.read_grid_csv(_existing_path(cfg.source_path))
+        except ValueError as exc:
+            raise ConfigError(f"'source.path' is not a grid CSV: {exc}") from None
         if raster.shape != (grid.ny, grid.nx):
             raise ConfigError("source CSV shape does not match grid.nx/ny")
         return raster * grid.disk_mask(geom.radius_inner), None
@@ -603,14 +621,6 @@ def run_command(command, cfg, config_path="<config>"):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(message)
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("RTE_TOMO_THREADS", "").strip()
-    if not cap or cap == "0":
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = cap
 
 
 def main(argv=None):

@@ -6,9 +6,13 @@ integrates against a scattering kernel.  Everything is discretized on a
 pixel raster times a uniform direction grid.
 
 The free-streaming inverse is a product-trapezoid march along rotated
-coordinate frames.  Every linear primitive here carries an exact transpose
-(gathers become scatters, the march recurrence reverses), so measurement
-operators built from them have machine-precision adjoint pairings.
+coordinate frames.  All directions march together: each solver stacks the
+per-direction rotation gathers, once and on first use, into one
+block-diagonal sparse operator each way, so a sweep is one product into the
+rotated frames, one recurrence over their columns and one product back.
+Every linear primitive here carries an exact transpose (gathers become
+scatters, the march recurrence reverses), so measurement operators built
+from them have machine-precision adjoint pairings.
 
 Boundary traces re-integrate the transport source along the exit chord with
 the same attenuated quadrature used by the ray transform; a field produced
@@ -189,24 +193,37 @@ class TransportSolver:
         self._rho = None
         self._chi_cache = {}
 
-    # -- per-direction machinery ------------------------------------------
+    # -- phase-space tables, built once ------------------------------------
 
     def _build_rotations(self):
+        """Stacked rotation gathers and march factors of all directions.
+
+        Row block q of ``to`` samples a raster on the frame rotated to
+        direction q (march axis along x); row block q of ``back`` samples
+        that frame's values at the pixel centers.  Both are block-diagonal
+        over (n_theta * N) phase-space rows, so one product serves every
+        direction and equals the per-direction products bit for bit.
+        ``_march_A`` holds the
+        trapezoid attenuation factors in march order, shape
+        (nx - 1, n_theta, ny): step i of every direction is one contiguous
+        slice.
+        """
         grid = self.grid
         pts = grid.points_flat()
-        to_list, back_list, sig_list = [], [], []
+        X, Y = np.meshgrid(grid.xs, grid.ys)
+        to_pts, back_pts, sig = [], [], []
         for q in range(self.n_theta):
             th = self.theta_vecs[q]
             perp = np.array([-th[1], th[0]])
-            X, Y = np.meshgrid(grid.xs, grid.ys)
             rot_pts = X[..., None] * th + Y[..., None] * perp
-            to_list.append(BilinearGather.at_points(grid, rot_pts.reshape(-1, 2)).matrix)
-            back_pts = np.stack([pts @ th, pts @ perp], axis=-1)
-            back_list.append(BilinearGather.at_points(grid, back_pts).matrix)
-            sig_list.append(self.sigma.sample(rot_pts, float(self.theta_angles[q])))
-        self._rot = (to_list, back_list)
+            to_pts.append(rot_pts.reshape(-1, 2))
+            back_pts.append(np.stack([pts @ th, pts @ perp], axis=-1))
+            sig.append(self.sigma.sample(rot_pts, float(self.theta_angles[q])))
+        self._rot = (BilinearGather.block_diagonal(grid, to_pts).matrix,
+                     BilinearGather.block_diagonal(grid, back_pts).matrix)
+        sig = np.ascontiguousarray(np.stack(sig).transpose(2, 0, 1))  # (nx, n_theta, ny)
         h2 = 0.5 * self._h_march
-        self._march_A = [np.exp(-h2 * (s[:, :-1] + s[:, 1:])) for s in sig_list]
+        self._march_A = np.exp(-h2 * (sig[:-1] + sig[1:]))
 
     def _rotations(self):
         if self._rot is None:
@@ -261,46 +278,51 @@ class TransportSolver:
         moments = np.einsum("jmn,jnb->mnb", ka, integrals)
         return self.w_theta * np.einsum("mq,mnb->qnb", trig, moments)
 
+    def _to_columns(self, flat):
+        """(n_theta * N, B) rotated-frame values as (nx, n_theta, ny, B) columns."""
+        shape = (self.n_theta, self.grid.ny, self.grid.nx, flat.shape[1])
+        return flat.reshape(shape).transpose(2, 0, 1, 3).copy()
+
+    @staticmethod
+    def _from_columns(cols):
+        """Inverse of _to_columns."""
+        return cols.transpose(1, 2, 0, 3).reshape(-1, cols.shape[3])
+
     def t1_apply(self, values):
-        """Free-streaming solve with absorption: u = T1^{-1} g, g = values."""
-        ny, nx = self.grid.ny, self.grid.nx
-        N = self.grid.n_pixels
+        """Free-streaming solve with absorption: u = T1^{-1} g, g = values.
+
+        All directions march together: one product with the stacked
+        rotation gather, one trapezoid recurrence over the nx columns of
+        the rotated frames (each step on an (n_theta, ny, B) slice), one
+        product back to the pixels, then the outer-disk mask.
+        """
         B = values.shape[2]
-        to_list, back_list = self._rotations()
-        out = np.empty_like(values)
+        to_all, back_all = self._rotations()
         h2 = 0.5 * self._h_march
-        for q in range(self.n_theta):
-            g_rot = (to_list[q] @ values[q]).reshape(ny, nx, B)
-            A = self._march_A[q]
-            u = np.zeros_like(g_rot)
-            for i in range(1, nx):
-                Ai = A[:, i - 1, None]
-                u[:, i] = Ai * (u[:, i - 1] + h2 * g_rot[:, i - 1]) + h2 * g_rot[:, i]
-            back = back_list[q] @ u.reshape(N, B)
-            out[q] = self._mask_flat[:, None] * back
-        return out
+        g = self._to_columns(to_all @ values.reshape(-1, B))
+        u = np.zeros_like(g)
+        for i in range(1, self.grid.nx):
+            Ai = self._march_A[i - 1, :, :, None]
+            u[i] = Ai * (u[i - 1] + h2 * g[i - 1]) + h2 * g[i]
+        back = (back_all @ self._from_columns(u)).reshape(values.shape)
+        return self._mask_flat[:, None] * back
 
     def t1_transpose(self, values):
-        ny, nx = self.grid.ny, self.grid.nx
-        N = self.grid.n_pixels
+        """Exact transpose of t1_apply: the same steps in reverse order."""
         B = values.shape[2]
-        to_list, back_list = self._rotations()
-        out = np.empty_like(values)
+        to_all, back_all = self._rotations()
         h2 = 0.5 * self._h_march
-        for q in range(self.n_theta):
-            v = self._mask_flat[:, None] * values[q]
-            v_rot = (back_list[q].T @ v).reshape(ny, nx, B)
-            A = self._march_A[q]
-            gbar = np.zeros_like(v_rot)
-            c = np.zeros((ny, B))
-            for i in range(nx - 1, 0, -1):
-                c = c + v_rot[:, i]
-                Ai = A[:, i - 1, None]
-                gbar[:, i] += h2 * c
-                gbar[:, i - 1] += h2 * Ai * c
-                c = Ai * c
-            out[q] = to_list[q].T @ gbar.reshape(N, B)
-        return out
+        v = self._mask_flat[:, None] * values
+        v_rot = self._to_columns(back_all.T @ v.reshape(-1, B))
+        gbar = np.zeros_like(v_rot)
+        c = np.zeros(v_rot.shape[1:])
+        for i in range(self.grid.nx - 1, 0, -1):
+            c = c + v_rot[i]
+            Ai = self._march_A[i - 1, :, :, None]
+            gbar[i] += h2 * c
+            gbar[i - 1] += h2 * Ai * c
+            c = Ai * c
+        return (to_all.T @ self._from_columns(gbar)).reshape(values.shape)
 
     # -- boundary trace -----------------------------------------------------
 

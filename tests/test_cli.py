@@ -8,6 +8,9 @@ still writing real artifacts through the real dispatch path.
 import math
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,8 +143,16 @@ class TestParseConfig:
          "solver.h_ray = 1e-09 with grid.n_bdry = 256 needs about 3.07e+11"),
         ("grid.n_bdry = 100000\n",
          "solver.h_ray = 0.0046875 with grid.n_bdry = 100000 needs about"),
+        ("source.preset = gaussian\nsource.width = 0\n",
+         "source.width must be positive for the gaussian preset"),
+        ("absorption.preset = gaussian\nabsorption.width = -0.1\n",
+         "absorption.width must be positive for the gaussian preset"),
+        ("grid.nx = 1024\ngrid.ny = 512\n",
+         "grid.nx = 1024, grid.ny = 512 and grid.n_theta = 64 give 33554432 "
+         "pixel-directions; the cap is 4194304"),
     ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
-            "zero-radius", "tiny-ray-step", "huge-boundary-count"])
+            "zero-radius", "tiny-ray-step", "huge-boundary-count",
+            "zero-source-width", "negative-absorption-width", "huge-phase-space"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
@@ -177,6 +188,17 @@ class TestExitCodes:
         code, _ = launch(tmp_path, "measure", TINY + text)
         assert code == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["source", "absorption"])
+    def test_malformed_grid_csv_exits_one(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("24,24\n0,1\n")
+        text = TINY + f"{kind}.preset = csv\n{kind}.path = {bad}\n"
+        code, _ = launch(tmp_path, "forward", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{kind}.path'" in err
+        assert "malformed grid CSV header" in err
 
     def test_missing_config_flag_exits_one(self, capsys):
         assert cli.main(["forward"]) == 1
@@ -427,6 +449,39 @@ class TestOutputPlumbing:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         launch(tmp_path, "visible-set", TINY)
         assert os.environ["OMP_NUM_THREADS"] == "3"
+
+    def test_thread_cap_reaches_blas(self):
+        probe = """
+import ctypes, glob, pathlib
+import rte_tomo.cli
+import numpy
+libdir = pathlib.Path(numpy.__file__).parent.parent / "numpy.libs"
+count = -1
+for path in sorted(glob.glob(str(libdir / "*openblas*"))):
+    lib = ctypes.CDLL(path)
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(lib, sym, None)
+        if fn is not None and count < 0:
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            count = int(fn())
+print(count)
+"""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS")}
+        env["RTE_TOMO_THREADS"] = "1"
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        count = int(done.stdout.split()[-1])
+        if count < 0:
+            pytest.skip("numpy does not bundle OpenBLAS here")
+        assert count == 1
 
     def test_thread_cap_zero_means_auto(self, tmp_path, monkeypatch):
         monkeypatch.setenv("RTE_TOMO_THREADS", "0")

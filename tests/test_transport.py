@@ -388,11 +388,84 @@ class TestAdjointPairs:
     def test_streaming_transpose(self):
         s = self._solver()
         rng = np.random.default_rng(0)
-        v = rng.standard_normal((8, s.grid.n_pixels, 1))
-        w = rng.standard_normal((8, s.grid.n_pixels, 1))
-        lhs = float(np.sum(s.t1_apply(v) * w))
-        rhs = float(np.sum(v * s.t1_transpose(w)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for B in (1, 8):
+            v = rng.standard_normal((8, s.grid.n_pixels, B))
+            w = rng.standard_normal((8, s.grid.n_pixels, B))
+            lhs = float(np.sum(s.t1_apply(v) * w))
+            rhs = float(np.sum(v * s.t1_transpose(w)))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    @staticmethod
+    def _per_direction_march(s, values, transpose):
+        """Reference march: one direction at a time, tables built per call."""
+        grid = s.grid
+        ny, nx, N = grid.ny, grid.nx, grid.n_pixels
+        B = values.shape[2]
+        h2 = 0.5 * grid.hx
+        mask = grid.disk_mask(s.geom.radius_outer).reshape(-1, 1).astype(float)
+        X, Y = np.meshgrid(grid.xs, grid.ys)
+        out = np.empty_like(values)
+        for q in range(s.n_theta):
+            th = s.theta_vecs[q]
+            perp = np.array([-th[1], th[0]])
+            rot_pts = X[..., None] * th + Y[..., None] * perp
+            to = BilinearGather.at_points(grid, rot_pts.reshape(-1, 2))
+            pts = grid.points_flat()
+            back = BilinearGather.at_points(
+                grid, np.stack([pts @ th, pts @ perp], axis=-1))
+            sig = s.sigma.sample(rot_pts, float(s.theta_angles[q]))
+            A = np.exp(-h2 * (sig[:, :-1] + sig[:, 1:]))
+            if not transpose:
+                g = to.apply(values[q]).reshape(ny, nx, B)
+                u = np.zeros_like(g)
+                for i in range(1, nx):
+                    Ai = A[:, i - 1, None]
+                    u[:, i] = Ai * (u[:, i - 1] + h2 * g[:, i - 1]) + h2 * g[:, i]
+                out[q] = mask * back.apply(u.reshape(N, B))
+            else:
+                v = back.apply_transpose(mask * values[q]).reshape(ny, nx, B)
+                gbar = np.zeros_like(v)
+                c = np.zeros((ny, B))
+                for i in range(nx - 1, 0, -1):
+                    c = c + v[:, i]
+                    Ai = A[:, i - 1, None]
+                    gbar[:, i] += h2 * c
+                    gbar[:, i - 1] += h2 * Ai * c
+                    c = Ai * c
+                out[q] = to.apply_transpose(gbar.reshape(N, B))
+        return out
+
+    def test_batched_march_matches_per_direction_march(self):
+        s = self._solver()
+        assert not s.sigma.is_zero
+        rng = np.random.default_rng(9)
+        for B in (1, 8):
+            v = rng.standard_normal((8, s.grid.n_pixels, B))
+            for transpose, op in ((False, s.t1_apply), (True, s.t1_transpose)):
+                ref = self._per_direction_march(s, v, transpose)
+                got = op(v)
+                assert got.shape == v.shape
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_rotation_tables_are_built_once(self, monkeypatch):
+        s = self._solver()
+        built = []
+        at_points = BilinearGather.at_points.__func__
+
+        def counted(cls, grid, points):
+            built.append(len(points))
+            return at_points(cls, grid, points)
+
+        monkeypatch.setattr(BilinearGather, "at_points", classmethod(counted))
+        rng = np.random.default_rng(10)
+        v = rng.standard_normal((8, s.grid.n_pixels, 2))
+        first = s.t1_apply(v)
+        after_first = list(built)
+        np.testing.assert_array_equal(s.t1_apply(v), first)
+        s.t1_transpose(v)
+        assert built == after_first
+        # One gather to the rotated frames and one back, for every direction.
+        assert sum(built) == 2 * s.n_theta * s.grid.n_pixels
 
     def test_scattering_transpose(self):
         grid = Grid(20, 20, 1.0)
