@@ -10,10 +10,13 @@ fixed order (corners outside the raster keep a zero weight), so sampling is
 copy of the raster, one block after another, as one matrix; the transport
 march uses it to rotate every direction's raster in one product.
 
-``summed(weights)`` folds a gather at consecutive groups of points (the
-quadrature cells of one chord after another) into one row per group, each
-row the weighted sum of its group's samples; the result is again a gather,
-so it samples with ``apply`` and scatters with ``apply_transpose``.
+``summed(weights, counts)`` folds a gather at consecutive groups of points
+of any sizes (the live quadrature cells of one chord after another) into
+one row per group, each row the weighted sum of its group's samples.
+Consecutive points of a group inside one bilinear patch share their four
+pixel indices; each such run is summed before the rows are merged, so the
+merge sees one entry per pixel and run.  The result is again a gather, so
+it samples with ``apply`` and scatters with ``apply_transpose``.
 """
 
 from __future__ import annotations
@@ -84,21 +87,37 @@ class BilinearGather:
                                shape=(n, len(point_blocks) * grid.n_pixels))
         return cls(matrix=matrix)
 
-    def summed(self, weights):
+    def summed(self, weights, counts):
         """Gather of weighted sums over consecutive groups of points.
 
-        weights has shape (n_groups, group_size) and covers the points in
-        order; row g of the result is sum_k weights[g, k] * (row g*group_size
-        + k of this gather).  Repeated pixels of a row are merged.
+        This gather holds four stored entries per point, as at_points makes
+        it.  weights has one entry per point; counts[g] >= 0 points make up
+        group g, groups following each other in point order.  Row g of the
+        result is sum_k weights[k] * (row k of this gather) over the points
+        k of group g.  Consecutive points of a group that share their four
+        pixel indices (the same bilinear patch) form a run; each run is
+        summed first, then repeated pixels of a row are merged.
         """
-        weights = np.asarray(weights, dtype=float)
-        n_groups, size = weights.shape
-        if 4 * weights.size != self.matrix.nnz:
-            raise ValueError("weights do not cover the gather's points")
-        data = self.matrix.data * np.repeat(weights.reshape(-1), 4)
-        indptr = 4 * size * np.arange(n_groups + 1, dtype=np.int64)
-        matrix = sp.csr_matrix((data, self.matrix.indices.copy(), indptr),
-                               shape=(n_groups, self.matrix.shape[1]))
+        weights = np.asarray(weights, dtype=float).reshape(-1)
+        counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+        n = self.matrix.shape[0]
+        if (len(weights) != n or np.any(counts < 0) or int(counts.sum()) != n
+                or self.matrix.nnz != 4 * n):
+            raise ValueError("weights and counts do not cover the gather's points")
+        indices = self.matrix.indices.reshape(n, 4)
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = np.any(indices[1:] != indices[:-1], axis=1)
+        group_starts = np.cumsum(counts)[:-1]
+        new_run[group_starts[group_starts < n]] = True
+        starts = np.nonzero(new_run)[0]
+        data = np.add.reduceat(self.matrix.data.reshape(n, 4) * weights[:, None],
+                               starts, axis=0)
+        group_of = np.repeat(np.arange(len(counts)), counts)
+        runs = np.bincount(group_of[starts], minlength=len(counts))
+        indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(4 * runs, out=indptr[1:])
+        matrix = sp.csr_matrix((data.reshape(-1), indices[starts].reshape(-1), indptr),
+                               shape=(len(counts), self.matrix.shape[1]))
         matrix.sum_duplicates()
         return BilinearGather(matrix=matrix)
 

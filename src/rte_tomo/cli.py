@@ -35,16 +35,24 @@ from .transport import (
 )
 
 # Cap on the boundary-trace quadrature cells of one direction, estimated as
-# (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's cells takes about
-# 320 bytes a cell at its peak, so the cap keeps that near 650 MiB; the
-# default h_ray = R1 / 256 at n_bdry = 256 needs 65536 cells.
+# (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's live cells and
+# its folded operator peaks near 170 bytes an estimated cell (tracemalloc), so
+# the cap keeps that near 360 MiB; the default h_ray = R1 / 256 at
+# n_bdry = 256 needs 65536 cells.
 MAX_TRACE_CELLS = 2**21
 
 # Cap on pixel-directions nx * ny * n_theta.  The stacked rotation gathers
 # and march factors keep 112 bytes per pixel-direction and a scattering solve
 # peaks near 180, so the cap keeps a solve near 750 MiB; the default 64x64
-# grid with 64 directions has 2**18.
+# grid with 64 directions has 2**18.  The same cap bounds nx * ny * symbol.n_xi:
+# the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction.
 MAX_PIXEL_DIRECTIONS = 2**22
+
+# Cap on wavefront edge samples.  The edge report tests microvisibility edge
+# by edge in Python, about 125 microseconds an edge on a 2-CPU machine, and
+# keeps about 200 bytes an edge, so the cap keeps it near 8 s and 13 MiB;
+# the default is 96.
+MAX_EDGE_SAMPLES = 2**16
 
 COMMANDS = ("forward", "measure", "normal", "visible-set", "symbol", "svd",
             "wavefront", "smoothing")
@@ -205,6 +213,16 @@ def _validate(cfg):
             f"grid.nx = {cfg.nx}, grid.ny = {cfg.ny} and grid.n_theta = {cfg.n_theta} "
             f"give {pixel_directions} pixel-directions; the cap is "
             f"{MAX_PIXEL_DIRECTIONS} (lower grid.nx, grid.ny or grid.n_theta)")
+    pixel_covectors = cfg.symbol_n_xi * cfg.nx * cfg.ny
+    if pixel_covectors > MAX_PIXEL_DIRECTIONS:
+        raise ConfigError(
+            f"symbol.n_xi = {cfg.symbol_n_xi} on a {cfg.nx}x{cfg.ny} grid gives "
+            f"{pixel_covectors} pixel-directions; the cap is {MAX_PIXEL_DIRECTIONS} "
+            f"(lower symbol.n_xi)")
+    if cfg.wavefront_n_edge > MAX_EDGE_SAMPLES:
+        raise ConfigError(
+            f"wavefront.n_edge = {cfg.wavefront_n_edge} is above the cap "
+            f"{MAX_EDGE_SAMPLES}")
     h_ray = cfg.solver_h_ray or cfg.radius_outer / RAY_STEPS_PER_RADIUS
     cells = 0.5 * cfg.n_bdry * 2.0 * cfg.radius_outer / h_ray
     if cells > MAX_TRACE_CELLS:

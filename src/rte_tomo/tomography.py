@@ -85,8 +85,11 @@ def attenuation_stack(sigma, geom, grid, angles, step=None):
     """E(x, theta) on all pixels for each direction angle, shape (n, N).
 
     Forward trapezoid integral of sigma from the pixel to its exit, on a
-    per-pixel lattice padded to the longest exit time.  Pixels outside the
-    outer disk get the neutral value 1.
+    per-pixel lattice padded to the longest exit time.  The padding repeats
+    the exit time, so its segments have zero length: sigma is sampled only
+    on the nodes up to each pixel's exit and set to 0 past it, which leaves
+    every sum as it is on the fully sampled table.  Pixels outside the outer
+    disk get the neutral value 1.
     """
     if step is None:
         step = 0.5 * grid.hx
@@ -104,8 +107,11 @@ def attenuation_stack(sigma, geom, grid, angles, step=None):
         lattice = step * np.arange(n_full + 1)
         nodes = np.concatenate(
             [np.minimum(lattice[None, :], tau[:, None]), tau[:, None]], axis=1)
-        pos = p[:, None, :] + nodes[..., None] * th
-        sig = sigma.sample(pos, float(ang))
+        m = np.searchsorted(lattice, tau)                  # last live node
+        at = np.arange(nodes.shape[1]) <= m[:, None]
+        sig = np.zeros(nodes.shape)
+        sig[at] = sigma.sample(np.repeat(p, m + 1, axis=0) + nodes[at][:, None] * th,
+                               float(ang))
         delta = np.diff(nodes, axis=1)
         G = np.sum(0.5 * delta * (sig[:, :-1] + sig[:, 1:]), axis=1)
         out[a, inside] = np.exp(-G)
@@ -228,15 +234,27 @@ def principal_symbol(spec, sigma, geom, x, xi, h_ray=None):
 
 
 def symbol_field(spec, sigma, geom, grid, n_xi=32, step=None):
-    """SymbolField of b0 over all pixels and n_xi covector angles."""
+    """SymbolField of b0 over all pixels and n_xi covector angles.
+
+    For even n_xi the directions xi - pi/2 are the directions xi + pi/2
+    shifted by n_xi/2, so one attenuation stack and one cutoff stack serve
+    both orientations; odd n_xi computes the two orientations separately.
+    """
     xi_angles = TWO_PI * np.arange(n_xi) / n_xi
-    values = np.zeros((n_xi, grid.n_pixels))
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
-    for sign in (+1.0, -1.0):
+
+    def orientation(sign):
         perp_angles = xi_angles + sign * 0.5 * math.pi
         e = attenuation_stack(sigma, geom, grid, perp_angles, step=step)
         chi = cutoff_stack(spec, geom, grid, perp_angles)
-        values += (e * chi) ** 2
+        return (e * chi) ** 2
+
+    values = orientation(+1.0)
+    if n_xi % 2 == 0:
+        # xi_k - pi/2 is the +pi/2 direction of xi_{k - n_xi/2}.
+        values += np.roll(values, n_xi // 2, axis=0)
+    else:
+        values += orientation(-1.0)
     values *= TWO_PI
     values[:, ~inside] = 0.0
     return SymbolField(grid=grid, xi_angles=xi_angles,

@@ -16,12 +16,15 @@ from them have machine-precision adjoint pairings.
 
 Boundary traces re-integrate the transport source along the exit chord with
 the same attenuated quadrature used by the ray transform; a field produced
-by a transport solve remembers its source for this purpose.  For raster
-sources the quadrature does not depend on the input, so each solver folds
-it, once and on first use, into one sparse exit-chord operator per
-direction (one row per outgoing chord); tracing is a product with it and
-the transpose trace is the product with its transpose.  Analytic phantoms
-are integrated on cells refined at their jump circles on every trace.
+by a transport solve remembers its source for this purpose.  Only the live
+cells of a chord, those before its entry point, enter the quadrature.  For
+raster sources the quadrature does not depend on the input, so each solver
+folds it, once and on first use, into one sparse exit-chord operator per
+direction (one row per outgoing chord, runs of cells in one bilinear patch
+summed first); tracing is a product with it and the transpose trace is the
+product with its transpose.  Analytic phantoms are evaluated on the live
+cells refined at their jump circles on every trace and summed chord by
+chord; a scattering source next to them is sampled on the same cells.
 """
 
 from __future__ import annotations
@@ -326,13 +329,19 @@ class TransportSolver:
 
     # -- boundary trace -----------------------------------------------------
 
-    def _chord_cells(self, q, circles):
+    def _chord_cells(self, q, circles, gather=True):
         """Attenuated quadrature cells for all chords of direction q.
 
         Nodes sit on a lattice anchored at each exit point with step h_ray,
         refined at jump circles of an analytic source, then closed at the
-        entry point.  Returns (outgoing indices, cell weights, midpoint
-        gather, midpoint coordinates).  Raster traces use the cells without
+        entry point.  Only live cells are kept: the m cells of a chord lie
+        between its m nodes below the chord length L and L itself, and the
+        node table is padded with L past them.  Absorption is sampled on the
+        live nodes only and set to zero on the padding, whose cells have
+        zero length, so the live weights are those of the padded table.
+        Returns (outgoing indices, flat cell weights, cells per chord,
+        midpoint gather or None when gather is false, flat midpoints), the
+        cells listed chord after chord.  Raster traces use the cells without
         circles once, through _trace_operators; analytic phantoms rebuild
         their refined cells on every trace.
         """
@@ -355,34 +364,44 @@ class TransportSolver:
                 back = -t
                 ok = (disc > 0.0) & (back > 0.0) & (back < L)
                 cols.append(np.where(ok, back, L)[:, None])
-        nodes = np.sort(np.concatenate(cols, axis=1), axis=1)
-        ang = float(self.theta_angles[q])
-        positions = z[:, None, :] - nodes[..., None] * th
+        nodes = np.concatenate(cols, axis=1)
+        if circles:
+            nodes = np.sort(nodes, axis=1)
+        counts = np.sum(nodes < L[:, None], axis=1)         # live cells per chord
+        live = np.arange(nodes.shape[1] - 1) < counts[:, None]
         delta = np.diff(nodes, axis=1)
         if self.sigma.is_zero:
-            weights = delta
+            weights = delta[live]
         else:
-            sig = self.sigma.sample(positions, ang)
+            # Nodes 0..counts of each chord are live; the padding keeps 0.
+            at = np.arange(nodes.shape[1]) <= counts[:, None]
+            pos = np.repeat(z, counts + 1, axis=0) - nodes[at][:, None] * th
+            sig = np.zeros(nodes.shape)
+            sig[at] = self.sigma.sample(pos, float(self.theta_angles[q]))
             seg = 0.5 * delta * (sig[:, :-1] + sig[:, 1:])
             G = np.concatenate([np.zeros((len(z), 1)), np.cumsum(seg, axis=1)], axis=1)
-            E = np.exp(-G)
-            weights = 0.5 * delta * (E[:, :-1] + E[:, 1:])
-        mids = z[:, None, :] - (nodes[:, :-1] + 0.5 * delta)[..., None] * th
-        gather = BilinearGather.at_points(self.grid, mids.reshape(-1, 2))
-        return out_idx, weights, gather, mids
+            E = np.zeros(nodes.shape)
+            E[at] = np.exp(-G[at])
+            weights = 0.5 * delta[live] * (E[:, :-1][live] + E[:, 1:][live])
+        mids = (np.repeat(z, counts, axis=0)
+                - (nodes[:, :-1][live] + 0.5 * delta[live])[:, None] * th)
+        g = BilinearGather.at_points(self.grid, mids) if gather else None
+        return out_idx, weights, counts, g, mids
 
     def _trace_operators(self):
         """Per-direction (outgoing indices, exit-chord operator), built once.
 
-        Row c of operator q sums the weighted bilinear samples of the cells
-        of chord c of direction q, so it maps a raster source (N, B) to the
-        chord quadratures (n_out, B).
+        Row c of operator q sums the weighted bilinear samples of the live
+        cells of chord c of direction q, so it maps a raster source (N, B)
+        to the chord quadratures (n_out, B).  BilinearGather.summed folds
+        each run of cells inside one bilinear patch into a single entry per
+        pixel before the rows are merged.
         """
         if self._trace_ops is None:
             ops = []
             for q in range(self.n_theta):
-                out_idx, weights, gather, _ = self._chord_cells(q, [])
-                ops.append((out_idx, gather.summed(weights)))
+                out_idx, weights, counts, gather, _ = self._chord_cells(q, [])
+                ops.append((out_idx, gather.summed(weights, counts)))
             self._trace_ops = ops
         return self._trace_ops
 
@@ -392,8 +411,10 @@ class TransportSolver:
         scatter: (n_theta, N, B) raster source or None; f_part: (N, B)
         raster, an analytic phantom broadcast over directions, or None.
         Raster sources go through the cached per-direction operators; an
-        analytic phantom is integrated on cells refined at its jump
-        circles.  Returns boundary values (n_bdry, n_theta, B).
+        analytic phantom is evaluated at the live cells refined at its jump
+        circles and summed chord by chord, with the scattering source, if
+        any, sampled on the same cells.  Returns boundary values
+        (n_bdry, n_theta, B).
         """
         analytic = f_part is not None and not isinstance(f_part, np.ndarray)
         B = scatter.shape[2] if scatter is not None else (
@@ -411,13 +432,14 @@ class TransportSolver:
             return out
         circles = _phantom_circles(f_part)
         for q in range(self.n_theta):
-            out_idx, weights, gather, mids = self._chord_cells(q, circles)
-            n_c, n_cells = weights.shape
+            out_idx, weights, counts, gather, mids = self._chord_cells(
+                q, circles, gather=scatter is not None)
             vals = np.asarray(f_part(mids), dtype=float).reshape(-1, 1)
             if scatter is not None:
                 vals = vals + gather.apply(scatter[q])
-            cellw = (weights.reshape(-1, 1) * vals).reshape(n_c, n_cells, B)
-            out[out_idx, q] = cellw.sum(axis=1)
+            # Every outgoing chord has at least one live cell.
+            starts = np.cumsum(counts) - counts
+            out[out_idx, q] = np.add.reduceat(weights[:, None] * vals, starts, axis=0)
         return out
 
     def trace_transpose(self, cot):
@@ -492,7 +514,8 @@ class TransportSolver:
 
         Returns (PhaseSpaceField, SolveReport).  Refuses to iterate when the
         spectral radius estimate is not safely below one; raises
-        NonConvergenceError carrying the report if max_iter is exhausted.
+        NonConvergenceError carrying the report as soon as the residual is
+        non-finite, or once max_iter is exhausted.
         """
         f_flat = self._f_flat(f, phantom)
         jf = self.j_apply(f_flat)
@@ -520,6 +543,12 @@ class TransportSolver:
             res /= max(float(phase_norm(u_next, self.grid)[0]), 1e-300)
             history.append(res)
             u = u_next
+            if not math.isfinite(res):
+                report = SolveReport(iterations=it, residual_history=tuple(history),
+                                     spectral_radius_estimate=rho, converged=False)
+                raise NonConvergenceError(
+                    f"fixed-point residual is non-finite ({res}) at iteration {it}",
+                    report)
             if res < self.tol:
                 report = SolveReport(iterations=it, residual_history=tuple(history),
                                      spectral_radius_estimate=rho, converged=True)
@@ -577,7 +606,11 @@ class TransportSolver:
         return self.chi_values(spec)[..., None] * b
 
     def xv_apply_auto(self, f_flat, spec):
-        """Like xv_apply but chooses the series length from the tolerance."""
+        """Like xv_apply but chooses the series length from the tolerance.
+
+        Raises NonConvergenceError as soon as a term's norm ratio is
+        non-finite, or when the series has not settled after max_iter terms.
+        """
         self.require_contraction()
         jf = self.j_apply(f_flat)
         acc = jf.copy()
@@ -590,7 +623,15 @@ class TransportSolver:
             y = self.k_apply(self.t1_apply(y))
             acc += y
             n_terms += 1
-            if float((phase_norm(y, self.grid) / scale).max()) < self.tol:
+            ratio = float((phase_norm(y, self.grid) / scale).max())
+            if not math.isfinite(ratio):
+                report = SolveReport(iterations=n_terms, residual_history=(),
+                                     spectral_radius_estimate=self.spectral_radius(),
+                                     converged=False)
+                raise NonConvergenceError(
+                    f"scattering series residual is non-finite ({ratio}) at "
+                    f"term {n_terms}", report)
+            if ratio < self.tol:
                 break
         else:
             report = SolveReport(iterations=self.max_iter, residual_history=(),

@@ -150,9 +150,15 @@ class TestParseConfig:
         ("grid.nx = 1024\ngrid.ny = 512\n",
          "grid.nx = 1024, grid.ny = 512 and grid.n_theta = 64 give 33554432 "
          "pixel-directions; the cap is 4194304"),
+        ("symbol.n_xi = 1000000\n",
+         "symbol.n_xi = 1000000 on a 64x64 grid gives 4096000000 pixel-directions; "
+         "the cap is 4194304 (lower symbol.n_xi)"),
+        ("wavefront.n_edge = 1000000000\n",
+         "wavefront.n_edge = 1000000000 is above the cap 65536"),
     ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
             "zero-radius", "tiny-ray-step", "huge-boundary-count",
-            "zero-source-width", "negative-absorption-width", "huge-phase-space"])
+            "zero-source-width", "negative-absorption-width", "huge-phase-space",
+            "huge-symbol-directions", "huge-edge-count"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)

@@ -10,12 +10,15 @@ from rte_tomo.geometry import (
     CutoffSpec,
     DiskGeometry,
     Grid,
+    exit_points,
     microvisible,
     smooth_step,
     visible_mask,
 )
 from rte_tomo.phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
 from rte_tomo.tomography import (
+    attenuation_stack,
+    cutoff_stack,
     edge_strengths,
     EdgeReport,
     OperatorMatrix,
@@ -323,6 +326,53 @@ class TestPrincipalSymbol:
                 ref = principal_symbol(HALF_SOFT, sigma, GEOM, x, xi)
                 assert field.values[q, iy, ix] == pytest.approx(
                     ref, rel=2e-3, abs=1e-9)
+
+
+class TestAttenuationStack:
+    @staticmethod
+    def _padded_reference(sigma, grid, angles, step):
+        """E on every pixel from sigma sampled at every padded lattice node."""
+        p = grid.points_flat()
+        inside = grid.disk_mask(GEOM.radius_outer).reshape(-1)
+        out = np.ones((len(angles), grid.n_pixels))
+        for a, ang in enumerate(angles):
+            th = np.array([math.cos(ang), math.sin(ang)])
+            _, tau = exit_points(GEOM, p[inside], th)
+            n_full = int(math.floor(tau.max() / step + 1e-12))
+            lattice = step * np.arange(n_full + 1)
+            nodes = np.concatenate(
+                [np.minimum(lattice[None, :], tau[:, None]), tau[:, None]], axis=1)
+            sig = sigma.sample(p[inside][:, None, :] + nodes[..., None] * th, float(ang))
+            delta = np.diff(nodes, axis=1)
+            G = np.sum(0.5 * delta * (sig[:, :-1] + sig[:, 1:]), axis=1)
+            out[a, inside] = np.exp(-G)
+        return out
+
+    def test_matches_padded_lattice_bitwise(self):
+        grid = Grid(20, 18, 1.2)
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.7, center=(-0.1, 0.2), width=0.35)
+        angles = TWO_PI * np.arange(12) / 12 + 0.1
+        got = attenuation_stack(sigma, GEOM, grid, angles)
+        ref = self._padded_reference(sigma, grid, angles, 0.5 * grid.hx)
+        assert np.array_equal(got, ref)
+        assert got.min() < 0.9
+
+    @pytest.mark.parametrize("n_xi", [8, 9])
+    def test_symbol_field_sums_both_orientations(self, n_xi):
+        grid = Grid(16, 16, 1.2)
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.6, center=(0.2, -0.1), width=0.4)
+        xi_angles = TWO_PI * np.arange(n_xi) / n_xi
+        ref = np.zeros((n_xi, grid.n_pixels))
+        for sign in (+1.0, -1.0):
+            perp = xi_angles + sign * 0.5 * math.pi
+            e = attenuation_stack(sigma, GEOM, grid, perp)
+            ref += (e * cutoff_stack(HALF_SOFT, GEOM, grid, perp)) ** 2
+        ref *= TWO_PI
+        ref[:, ~grid.disk_mask(GEOM.radius_outer).reshape(-1)] = 0.0
+        got = symbol_field(HALF_SOFT, sigma, GEOM, grid, n_xi=n_xi).values
+        ref = ref.reshape(got.shape)
+        assert np.max(ref) > 0.0
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestSvdInjectivity:

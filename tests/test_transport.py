@@ -207,6 +207,51 @@ class TestSolveForward:
             assert not err.report.converged
             assert err.report.spectral_radius_estimate >= 1.0 - 5e-2
 
+    @staticmethod
+    def _poisoned_solver(monkeypatch, calls):
+        """Scattering solver whose k_apply returns inf on its third call.
+
+        The spectral radius is estimated first, so only the iteration under
+        test calls the patched k_apply.
+        """
+        grid = Grid(24, 24, 1.0)
+        s = TransportSolver(geom=GEOM, grid=grid, sigma=AbsorptionField.zero(grid),
+                            kernel=ScatteringKernel.isotropic(grid, GEOM, 0.5),
+                            n_theta=8, n_bdry=16, max_iter=50)
+        s.spectral_radius()
+        k_apply = s.k_apply
+
+        def poisoned(values):
+            calls.append(len(calls) + 1)
+            out = k_apply(values)
+            return np.full_like(out, np.inf) if len(calls) == 3 else out
+
+        monkeypatch.setattr(s, "k_apply", poisoned)
+        return s
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_residual_stops_at_once(self, monkeypatch):
+        calls = []
+        s = self._poisoned_solver(monkeypatch, calls)
+        f = bumped_source(s.grid, GEOM)
+        with pytest.raises(NonConvergenceError,
+                           match=r"residual is non-finite .* at iteration 4$") as err:
+            s.solve(f=f)
+        assert calls == [1, 2, 3]
+        assert err.value.report.iterations == 4
+        assert not err.value.report.converged
+        assert len(err.value.report.residual_history) == 3
+
+    def test_non_finite_series_term_stops_at_once(self, monkeypatch):
+        calls = []
+        s = self._poisoned_solver(monkeypatch, calls)
+        f = bumped_source(s.grid, GEOM).reshape(-1, 1)
+        with pytest.raises(NonConvergenceError,
+                           match=r"residual is non-finite .* at term 3$") as err:
+            s.xv_apply_auto(f, CutoffSpec.full_data())
+        assert calls == [1, 2, 3]
+        assert err.value.report.iterations == 3
+
     def test_spectral_radius_scales_linearly_in_kernel(self):
         grid = Grid(24, 24, 1.0)
         rhos = []
@@ -361,12 +406,104 @@ class TestAdjointPairs:
         f = rng.standard_normal((s.grid.n_pixels, 3))
         ref = np.zeros((s.bgrid.n_bdry, 8, 3))
         for q in range(8):
-            out_idx, weights, gather, _ = s._chord_cells(q, [])
+            out_idx, weights, counts, gather, _ = s._chord_cells(q, [])
             vals = gather.apply(scatter[q]) + gather.apply(f)
-            cells = weights[..., None] * vals.reshape(weights.shape + (3,))
-            ref[out_idx, q] = cells.sum(axis=1)
+            cells = weights[..., None] * vals
+            np.add.at(ref[:, q], np.repeat(out_idx, counts), cells)
         got = s.trace_phase(scatter, f)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @staticmethod
+    def _padded_cells(s, q, circles):
+        """Jump-refined cells of direction q on the full padded node table.
+
+        Every chord keeps a lattice padded to the longest chord, sigma is
+        sampled at every node, and zero-length cells stay in the table.
+        Returns (outgoing indices, (n_out, n_cells) weights, midpoints).
+        """
+        bg = s.bgrid
+        out_idx = np.nonzero(bg.outgoing[:, q])[0]
+        z = bg.points[out_idx]
+        L = 2.0 * s.geom.radius_outer * bg.normal_dot[out_idx, q]
+        th = s.theta_vecs[q]
+        n_full = int(math.floor(L.max() / s.h_ray + 1e-12))
+        lattice = s.h_ray * np.arange(n_full + 1)
+        cols = [np.minimum(lattice[None, :], L[:, None]), L[:, None]]
+        for cx, cy, r in circles:
+            o = z - np.array([cx, cy])
+            b = o @ th
+            disc = b * b - (np.sum(o * o, axis=1) - r * r)
+            root = np.sqrt(np.maximum(disc, 0.0))
+            for back in (b + root, b - root):
+                ok = (disc > 0.0) & (back > 0.0) & (back < L)
+                cols.append(np.where(ok, back, L)[:, None])
+        nodes = np.sort(np.concatenate(cols, axis=1), axis=1)
+        sig = s.sigma.sample(z[:, None, :] - nodes[..., None] * th,
+                             float(s.theta_angles[q]))
+        delta = np.diff(nodes, axis=1)
+        seg = 0.5 * delta * (sig[:, :-1] + sig[:, 1:])
+        G = np.concatenate([np.zeros((len(z), 1)), np.cumsum(seg, axis=1)], axis=1)
+        E = np.exp(-G)
+        weights = 0.5 * delta * (E[:, :-1] + E[:, 1:])
+        mids = z[:, None, :] - (nodes[:, :-1] + 0.5 * delta)[..., None] * th
+        return out_idx, weights, mids
+
+    def test_analytic_trace_matches_cell_quadrature(self):
+        s = self._solver()
+        assert not s.sigma.is_zero
+        phantom = DiskPhantom(center=(0.15, -0.1), radius=0.45, value=1.3)
+        circles = phantom.jump_circles()
+        rng = np.random.default_rng(11)
+        scatter = rng.standard_normal((8, s.grid.n_pixels, 1))
+        crossed = 0
+        for with_scatter in (False, True):
+            src = scatter if with_scatter else None
+            ref = np.zeros((s.bgrid.n_bdry, 8, 1))
+            for q in range(8):
+                out_idx, weights, mids = self._padded_cells(s, q, circles)
+                vals = phantom(mids)
+                crossed += int(np.sum(np.any(vals != vals[:, :1], axis=1)))
+                if with_scatter:
+                    gather = BilinearGather.at_points(s.grid, mids.reshape(-1, 2))
+                    vals = vals + gather.apply(scatter[q, :, 0]).reshape(vals.shape)
+                ref[out_idx, q, 0] = np.sum(weights * vals, axis=1)
+            got = s.trace_phase(src, phantom)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert crossed > 0
+
+    def test_summed_folds_runs(self):
+        grid = Grid(9, 7, 1.0)
+        rng = np.random.default_rng(12)
+        base = rng.uniform(-1.3, 1.3, (40, 2))
+        reps = rng.integers(1, 5, len(base))
+        pts = np.repeat(base, reps, axis=0)
+        pts += 1e-3 * grid.hx * rng.standard_normal(pts.shape)
+        gather = BilinearGather.at_points(grid, pts)
+        n = len(pts)
+        counts = np.array([0, 7, 1, 0, 12] + [5] * ((n - 20) // 5))
+        counts = np.append(counts, n - counts.sum())
+        weights = rng.uniform(0.1, 2.0, n)
+        folded = gather.summed(weights, counts)
+        assert folded.matrix.shape == (len(counts), grid.n_pixels)
+        dense = gather.matrix.toarray() * weights[:, None]
+        group = np.repeat(np.arange(len(counts)), counts)
+        ref = np.zeros((len(counts), grid.n_pixels))
+        np.add.at(ref, group, dense)
+        got = folded.matrix.toarray()
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got[counts == 0] == 0.0)
+        for shape in ((), (3,)):
+            x = rng.standard_normal((grid.n_pixels,) + shape)
+            v = rng.standard_normal((len(counts),) + shape)
+            lhs = float(np.sum(folded.apply(x) * v))
+            rhs = float(np.sum(x * folded.apply_transpose(v)))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+        for bad in (counts[:-1], np.append(counts, 1), counts + 1):
+            with pytest.raises(ValueError, match="do not cover"):
+                gather.summed(weights, bad)
+        with pytest.raises(ValueError, match="do not cover"):
+            gather.summed(weights[:-1], counts)
 
     def test_trace_operators_are_built_once(self, monkeypatch):
         s = self._solver()
