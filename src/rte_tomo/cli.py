@@ -48,10 +48,10 @@ MAX_TRACE_CELLS = 2**21
 # the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction.
 MAX_PIXEL_DIRECTIONS = 2**22
 
-# Cap on wavefront edge samples.  The edge report tests microvisibility edge
-# by edge in Python, about 125 microseconds an edge on a 2-CPU machine, and
-# keeps about 200 bytes an edge, so the cap keeps it near 8 s and 13 MiB;
-# the default is 96.
+# Cap on wavefront edge samples.  The edge report tests microvisibility in
+# one stacked call and measures the edge responses, about 3 microseconds and
+# 220 bytes (tracemalloc) an edge on a 2-CPU machine, so the cap keeps it
+# near 0.2 s and 14 MiB; the default is 96.
 MAX_EDGE_SAMPLES = 2**16
 
 COMMANDS = ("forward", "measure", "normal", "visible-set", "symbol", "svd",
@@ -541,8 +541,7 @@ def _cmd_symbol(cfg, rep):
 def _cmd_svd(cfg, rep):
     solver = _make_solver(cfg)
     spec = build_cutoff(cfg)
-    mask = visible_mask(spec, solver.geom, solver.grid,
-                        n_theta=max(cfg.n_theta, 8))
+    mask = visible_mask(spec, solver.geom, solver.grid, n_theta=cfg.n_theta)
     sv, si, op_vis = svd_injectivity(spec, solver.sigma, solver.kernel,
                                      solver.geom, mask, n_bdry=cfg.n_bdry,
                                      n_theta=cfg.n_theta, solver=solver,

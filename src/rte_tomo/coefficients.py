@@ -23,6 +23,9 @@ from .geometry import exit_points, smooth_step, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
+# The default attenuation and exit-chord step h_ray is R1 over this many.
+RAY_STEPS_PER_RADIUS = 256
+
 # The fixed extension of coefficients given on the inner disk rolls off to
 # zero over this fraction of the gap between the two radii.
 _EXTENSION_FRACTION = 0.9
@@ -367,7 +370,7 @@ def ray_absorption(sigma, geom, x, theta, radii, h_ray):
 def attenuation_E(sigma, geom, x, theta, h_ray=None):
     """Attenuation exp(-integral of sigma from x to the boundary along theta)."""
     if h_ray is None:
-        h_ray = geom.radius_outer / 256.0
+        h_ray = geom.radius_outer / RAY_STEPS_PER_RADIUS
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _, tau = exit_points(geom, x, theta)
@@ -380,7 +383,7 @@ def attenuation_Sigma(sigma, geom, x, s, theta_prime, h_ray=None):
     if s < 0.0:
         raise ValueError("path length s must be >= 0")
     if h_ray is None:
-        h_ray = geom.radius_outer / 256.0
+        h_ray = geom.radius_outer / RAY_STEPS_PER_RADIUS
     x = np.asarray(x, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
     _, tau = exit_points(geom, x, theta_prime)

@@ -33,6 +33,11 @@ def rotate90(v):
     return out
 
 
+def uniform_angles(n):
+    """The n uniformly spaced angles 2*pi*k/n, k = 0..n-1."""
+    return TWO_PI * np.arange(n) / n
+
+
 def unit_vector(angle):
     """Unit vector(s) (cos a, sin a) for polar angle(s) a."""
     a = np.asarray(angle, dtype=float)
@@ -168,7 +173,8 @@ def exit_times(geom, points, thetas):
     points = np.asarray(points, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     b = np.sum(points * thetas, axis=-1)
-    c = np.sum(points * points, axis=-1) - geom.radius_outer**2
+    # A numpy scalar square overflows to inf where a Python float one raises.
+    c = np.sum(points * points, axis=-1) - np.float64(geom.radius_outer) ** 2
     disc = np.maximum(b * b - c, 0.0)
     return -b + np.sqrt(disc)
 
@@ -246,10 +252,10 @@ def smooth_step(d, w):
     d = np.asarray(d, dtype=float)
     if w <= 0.0:
         return (d > 0.0).astype(float)
-    s = 1.0 - d / w
-    denom = 1.0 - s * s
     with np.errstate(divide="ignore", over="ignore", under="ignore",
                      invalid="ignore"):
+        s = 1.0 - d / w
+        denom = 1.0 - s * s
         bump = np.exp(1.0 - 1.0 / denom)
     return np.where(d >= w, 1.0, np.where(d <= 0.0, 0.0, bump))
 
@@ -404,81 +410,70 @@ class VisibilityMask:
         return int(np.count_nonzero(self.visible))
 
 
-def _direction_angles(n_theta):
-    return TWO_PI * np.arange(n_theta) / n_theta
+def _visible_direction_count(spec, geom, grid, n_theta):
+    """How many of n_theta uniform covector directions microvisible accepts.
+
+    Counted per source-disk pixel, one direction at a time so temporaries
+    stay one direction in size; other pixels read -1, so no mask takes them.
+    """
+    if n_theta < 8:
+        raise ValueError("n_theta must be at least 8")
+    omega = grid.disk_mask(geom.radius_inner)
+    pts = grid.centers()[omega]
+    accepted = np.zeros(len(pts), dtype=np.intp)
+    for ang in uniform_angles(n_theta):
+        accepted += microvisible(spec, geom, pts, unit_vector(ang))
+    count = np.full(omega.shape, -1, dtype=np.intp)
+    count[omega] = accepted
+    return count
 
 
 def visible_mask(spec, geom, grid, n_theta=64):
-    """Pixels of the source disk seen from every direction.
+    """Pixels of the source disk where every covector is microvisible.
 
-    A pixel center x is marked visible when for each of n_theta uniformly
-    spaced directions theta at least one of the two perpendicular rays
-    through x (directions +/- rot90(theta)) exits with a positive cutoff.
+    The visible set is defined through microvisible: a pixel center x is
+    marked when microvisible accepts (x, xi) for each of n_theta uniformly
+    spaced covector directions xi.
     """
-    if n_theta < 8:
-        raise ValueError("n_theta must be at least 8")
-    centers = grid.points_flat()
-    omega = grid.disk_mask(geom.radius_inner).reshape(-1)
-    pts = centers[omega]
-    ok = np.ones(len(pts), dtype=bool)
-    for ang in _direction_angles(n_theta):
-        perp = rotate90(unit_vector(ang))
-        dirs = np.broadcast_to(perp, pts.shape)
-        cplus = cutoff_extended_values(spec, geom, pts, dirs)
-        cminus = cutoff_extended_values(spec, geom, pts, -dirs)
-        ok &= (cplus > 0.0) | (cminus > 0.0)
-    vis = np.zeros(grid.n_pixels, dtype=bool)
-    vis[omega] = ok
-    return VisibilityMask(grid=grid, visible=vis.reshape(grid.ny, grid.nx))
+    count = _visible_direction_count(spec, geom, grid, n_theta)
+    return VisibilityMask(grid=grid, visible=count == n_theta)
 
 
 def invisible_mask(spec, geom, grid, n_theta=64):
-    """Pixels of the source disk with every perpendicular exit cut off.
+    """Pixels of the source disk where no covector is microvisible.
 
-    The strict counterpart of visible_mask: a pixel is marked when for all
-    n_theta directions both perpendicular exits have zero cutoff.
+    The strict counterpart of visible_mask: a pixel is marked when
+    microvisible rejects (x, xi) for all n_theta covector directions.
     """
-    if n_theta < 8:
-        raise ValueError("n_theta must be at least 8")
-    centers = grid.points_flat()
-    omega = grid.disk_mask(geom.radius_inner).reshape(-1)
-    pts = centers[omega]
-    blocked = np.ones(len(pts), dtype=bool)
-    for ang in _direction_angles(n_theta):
-        perp = rotate90(unit_vector(ang))
-        dirs = np.broadcast_to(perp, pts.shape)
-        cplus = cutoff_extended_values(spec, geom, pts, dirs)
-        cminus = cutoff_extended_values(spec, geom, pts, -dirs)
-        blocked &= (cplus == 0.0) & (cminus == 0.0)
-    out = np.zeros(grid.n_pixels, dtype=bool)
-    out[omega] = blocked
-    return VisibilityMask(grid=grid, visible=out.reshape(grid.ny, grid.nx))
+    count = _visible_direction_count(spec, geom, grid, n_theta)
+    return VisibilityMask(grid=grid, visible=count == 0)
 
 
 def microvisible(spec, geom, x, xi):
-    """Whether the covector direction xi at x is microlocally visible.
+    """Whether covector directions xi at points x are microlocally visible.
 
-    True when at least one of the two rays through x perpendicular to xi
-    exits with a positive cutoff.
+    ``x`` and ``xi`` are (..., 2) arrays that broadcast against each other;
+    the result is a bool array over the broadcast leading shape, 0-d for a
+    single pair.  A pair is visible when at least one of the two rays
+    through x perpendicular to xi exits with a positive cutoff.  Every xi
+    row must be nonzero and every point must lie in the outer disk.  This
+    is the one microvisibility test: both pixel masks and the wavefront
+    edge report are built on it.
     """
+    x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    n = np.linalg.norm(xi)
-    if n == 0.0:
+    n = np.linalg.norm(xi, axis=-1, keepdims=True)
+    if np.any(n == 0.0):
         raise ValueError("xi must be nonzero")
-    perp = rotate90(xi / n)
-    return bool(
-        cutoff_extended(spec, geom, x, perp) > 0.0
-        or cutoff_extended(spec, geom, x, -perp) > 0.0
-    )
-
-
-def microvisible_many(spec, geom, points, xis):
-    """Vectorized microvisibility test for stacked (point, covector) pairs."""
-    xis = np.asarray(xis, dtype=float)
-    perp = rotate90(xis / np.linalg.norm(xis, axis=-1, keepdims=True))
-    cplus = cutoff_extended_values(spec, geom, points, perp)
-    cminus = cutoff_extended_values(spec, geom, points, -perp)
-    return (cplus > 0.0) | (cminus > 0.0)
+    # The squared form of Grid.disk_mask, so every source-disk pixel passes.
+    limit = geom.radius_outer * (1.0 + 1e-12)
+    if np.any(x[..., 0] ** 2 + x[..., 1] ** 2 > limit * limit):
+        raise ValueError("point lies outside the outer disk")
+    x, perp = np.broadcast_arrays(x, rotate90(xi / n))
+    # A contiguous copy lets the products below run as one flat loop.
+    perp = np.ascontiguousarray(perp)
+    return ((cutoff_extended_values(spec, geom, x, perp) > 0.0)
+            | (cutoff_extended_values(spec, geom, x, -perp) > 0.0))
 
 
 def convex_hull_mask(spec, geom, grid):

@@ -28,6 +28,7 @@ from .geometry import (
     cutoff_extended_values,
     microvisible,
     rotate90,
+    uniform_angles,
     unit_vector,
 )
 from .transport import BoundaryData, TransportSolver, phase_norm
@@ -41,6 +42,8 @@ KERNEL_CHUNK = 256
 # Largest problem assembled as a dense matrix.
 DENSE_MAX_PIXELS = 1024
 DENSE_MAX_THETA = 32
+# Edge-response window in pixels; see edge_strengths.
+EDGE_WINDOW = 3
 
 
 def _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry, h_ray,
@@ -233,19 +236,19 @@ def principal_symbol(spec, sigma, geom, x, xi, h_ray=None):
     return TWO_PI * total
 
 
-def symbol_field(spec, sigma, geom, grid, n_xi=32, step=None):
+def symbol_field(spec, sigma, geom, grid, n_xi=32):
     """SymbolField of b0 over all pixels and n_xi covector angles.
 
     For even n_xi the directions xi - pi/2 are the directions xi + pi/2
     shifted by n_xi/2, so one attenuation stack and one cutoff stack serve
     both orientations; odd n_xi computes the two orientations separately.
     """
-    xi_angles = TWO_PI * np.arange(n_xi) / n_xi
+    xi_angles = uniform_angles(n_xi)
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
 
     def orientation(sign):
         perp_angles = xi_angles + sign * 0.5 * math.pi
-        e = attenuation_stack(sigma, geom, grid, perp_angles, step=step)
+        e = attenuation_stack(sigma, geom, grid, perp_angles)
         chi = cutoff_stack(spec, geom, grid, perp_angles)
         return (e * chi) ** 2
 
@@ -285,8 +288,7 @@ def _angle_lookup(stack_t, cols, ang, n_angles):
     return stack_t[cols, i0] * (1.0 - w) + stack_t[cols, i1] * w
 
 
-def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64,
-                           step=None):
+def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64):
     """Apply the ballistic normal operator by direct singular quadrature.
 
     Off-diagonal pairs use the kernel w(x, y)/|y - x| with
@@ -310,8 +312,8 @@ def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64,
     if plain:
         diag_weight = np.full(grid.n_pixels, 2.0)
     else:
-        angles = TWO_PI * np.arange(n_theta) / n_theta
-        fstack = attenuation_stack(sigma, geom, grid, angles, step=step)
+        angles = uniform_angles(n_theta)
+        fstack = attenuation_stack(sigma, geom, grid, angles)
         fstack *= cutoff_stack(spec, geom, grid, angles)
         fstack_t = np.ascontiguousarray(fstack.T)      # (N, n_theta)
         diag_weight = 2.0 * np.mean(fstack**2, axis=0)
@@ -653,7 +655,7 @@ class EdgeReport:
         return self.max_invisible / med
 
 
-def edge_strengths(values, grid, points, normals, jumps, window=3):
+def edge_strengths(values, grid, points, normals, jumps):
     """Trend-cancelling directional edge response at labeled points.
 
     The raw centered difference of N across an edge is dominated by the
@@ -671,7 +673,7 @@ def edge_strengths(values, grid, points, normals, jumps, window=3):
     points = np.asarray(points, dtype=float)
     normals = np.asarray(normals, dtype=float)
     jumps = np.asarray(jumps, dtype=float)
-    d_outer = 0.5 * window * grid.hx
+    d_outer = 0.5 * EDGE_WINDOW * grid.hx
     d_inner = d_outer / 3.0
     tangents = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
 
@@ -683,7 +685,7 @@ def edge_strengths(values, grid, points, normals, jumps, window=3):
                  - bilinear_sample(grid, values, probe - d_inner * normals))
         return outer - 3.0 * inner
 
-    shifts = np.arange(-window, window + 1) * grid.hx
+    shifts = np.arange(-EDGE_WINDOW, EDGE_WINDOW + 1) * grid.hx
     acc = np.zeros(len(points))
     for t in shifts:
         acc += across(np.full(len(points), t))
@@ -696,9 +698,9 @@ def wavefront_image(spec, sigma, kernel, geom, phantom, grid=None, n_theta=64,
     """Normal-operator image of a phantom plus its edge-response report.
 
     Edge strength at a labeled point (z, xi) is the trend-cancelling
-    finite difference of N along xi over edge_strengths' default window;
-    see edge_strengths.  The report groups edges by
-    microvisibility of (z, xi).
+    finite difference of N along xi over EDGE_WINDOW pixels; see
+    edge_strengths.  The report groups edges by microvisibility of (z, xi),
+    tested for all edges in one microvisible call.
     """
     from .phantoms import rasterize
 
@@ -709,9 +711,7 @@ def wavefront_image(spec, sigma, kernel, geom, phantom, grid=None, n_theta=64,
     image = normal_operator_full(spec, sigma, kernel, geom, f, solver=solver)
     pts, normals, jumps = phantom.edge_points(n_edge)
     strengths = edge_strengths(image.values, grid, pts, normals, jumps)
-    visible = np.array([
-        microvisible(spec, geom, pts[i], normals[i]) for i in range(len(pts))
-    ])
     report = EdgeReport(points=pts, normals=normals, jumps=jumps,
-                        strengths=strengths, visible=visible)
+                        strengths=strengths,
+                        visible=microvisible(spec, geom, pts, normals))
     return image, report

@@ -35,17 +35,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._interp import BilinearGather
-from .coefficients import AbsorptionField, ScatteringKernel, trig_basis
-from .geometry import unit_vector
+from .coefficients import (RAY_STEPS_PER_RADIUS, AbsorptionField,
+                           ScatteringKernel, trig_basis)
+from .geometry import uniform_angles, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
 # Refuse the fixed-point solve when the scattering spectral radius estimate
 # is above 1 minus this margin.
 CONTRACTION_MARGIN = 1e-3
-
-# The default exit-chord quadrature step h_ray is R1 over this many steps.
-RAY_STEPS_PER_RADIUS = 256
 
 # Power-iteration steps and start-vector seed of the spectral radius estimate.
 POWER_STEPS = 30
@@ -85,9 +83,9 @@ class BoundaryGrid:
         self.geom = geom
         self.n_bdry = int(n_bdry)
         self.n_theta = int(n_theta)
-        self.angles = TWO_PI * np.arange(self.n_bdry) / self.n_bdry
+        self.angles = uniform_angles(self.n_bdry)
         self.points = geom.radius_outer * unit_vector(self.angles)
-        self.theta_angles = TWO_PI * np.arange(self.n_theta) / self.n_theta
+        self.theta_angles = uniform_angles(self.n_theta)
         self.theta_vecs = unit_vector(self.theta_angles)
         nu = self.points / geom.radius_outer
         self.normal_dot = nu @ self.theta_vecs.T          # (n_bdry, n_theta)
@@ -182,7 +180,7 @@ class TransportSolver:
         self.h_ray = h_ray
         self.tol = float(tol)
         self.max_iter = int(max_iter)
-        self.theta_angles = TWO_PI * np.arange(self.n_theta) / self.n_theta
+        self.theta_angles = uniform_angles(self.n_theta)
         self.theta_vecs = unit_vector(self.theta_angles)
         self.w_theta = TWO_PI / self.n_theta
         self.bgrid = BoundaryGrid(geom, n_bdry, self.n_theta)
@@ -666,8 +664,7 @@ def apply_J(f, grid, n_theta=64, geom=None):
         outside = raster[~grid.disk_mask(geom.radius_inner)]
         if np.any(outside != 0.0):
             raise ValueError("source must vanish outside the inner disk")
-    angles = TWO_PI * np.arange(n_theta) / n_theta
-    return PhaseSpaceField(grid=grid, theta_angles=angles,
+    return PhaseSpaceField(grid=grid, theta_angles=uniform_angles(n_theta),
                            values=np.broadcast_to(raster, (n_theta,) + raster.shape).copy())
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from rte_tomo.geometry import (
     cutoff_extended,
     exit_points,
     microvisible,
-    microvisible_many,
     smooth_step,
     visible_mask,
     invisible_mask,
@@ -131,6 +131,13 @@ class TestSmoothStep:
         assert smooth_step(1e-12, 0.0) == 1.0
         assert smooth_step(0.0, 0.0) == 0.0
 
+    def test_tiny_width_warns_nothing(self):
+        """Far outside a subnormal band the squared ramp overflows quietly."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = smooth_step(np.array([-1.0, 0.0, 1.0]), 5e-324)
+        assert np.array_equal(v, [0.0, 0.0, 1.0])
+
 
 class TestCutoffSpec:
     def test_full_data_is_one_on_outgoing(self):
@@ -221,10 +228,43 @@ class TestMicrovisible:
         pts = rng.uniform(-0.6, 0.6, size=(40, 2))
         angs = rng.uniform(0.0, 2.0 * math.pi, size=40)
         xis = np.stack([np.cos(angs), np.sin(angs)], axis=1)
-        batch = microvisible_many(spec, GEOM_WIDE, pts, xis)
+        batch = microvisible(spec, GEOM_WIDE, pts, xis)
         single = np.array([microvisible(spec, GEOM_WIDE, pts[i], xis[i])
                            for i in range(40)])
+        assert batch.shape == (40,)
         assert np.array_equal(batch, single)
+
+    def test_masks_are_all_and_none_of_the_predicate(self):
+        """visible/invisible masks equal all/none of a per-pixel scalar loop."""
+        spec = rt.CutoffSpec.from_arcs([(0.4, 2.6), (3.5, 4.4)],
+                                       cones=[0.5, 0.3], transition_width=0.2)
+        grid = rt.Grid(16, 16, 1.2)
+        n_theta = 8
+        omega = grid.disk_mask(1.0)
+        centers = grid.centers()
+        expect_all = np.zeros_like(omega)
+        expect_none = np.zeros_like(omega)
+        for iy, ix in zip(*np.nonzero(omega)):
+            seen = [bool(microvisible(spec, GEOM_WIDE, centers[iy, ix],
+                                      (math.cos(a), math.sin(a))))
+                    for a in 2.0 * math.pi * np.arange(n_theta) / n_theta]
+            expect_all[iy, ix] = all(seen)
+            expect_none[iy, ix] = not any(seen)
+        vis = visible_mask(spec, GEOM_WIDE, grid, n_theta=n_theta).visible
+        inv = invisible_mask(spec, GEOM_WIDE, grid, n_theta=n_theta).visible
+        assert 0 < expect_all.sum() < omega.sum()
+        assert 0 < expect_none.sum() < omega.sum()
+        assert np.array_equal(vis, expect_all)
+        assert np.array_equal(inv, expect_none)
+
+    def test_stacked_input_checks(self):
+        spec = rt.CutoffSpec.full_data()
+        pts = np.array([[0.1, 0.2], [0.0, -0.3]])
+        with pytest.raises(ValueError, match="xi must be nonzero"):
+            microvisible(spec, GEOM_WIDE, pts, np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="outside the outer disk"):
+            microvisible(spec, GEOM_WIDE, np.array([[0.1, 0.2], [1.3, 0.0]]),
+                         (0.0, 1.0))
 
 
 class TestVisibleMask:
