@@ -1,22 +1,25 @@
 """Bilinear sampling on pixel rasters, with exact transposes.
 
 Values live at pixel centers; sampling decays linearly to zero within one
-cell beyond the outermost centers and is zero further out.  A gather is one
-CSR matrix with four stored entries per point, one per cell corner in a
-fixed order (corners outside the raster keep a zero weight), so sampling is
-``matrix @ x`` and the exact adjoint scatter is ``matrix.T @ v``.
+cell beyond the outermost centers and is zero further out.  A point's patch
+is the cell of four pixel centers around it: its lower-left pixel and its
+fractions along x and y.  One helper finds the patches and tests which of
+their corners lie in the raster; every constructor below builds on it, with
+one corner formula.
 
-``block_diagonal(grid, blocks)`` samples each block of points from its own
-copy of the raster, one block after another, as one matrix; the transport
-march uses it to rotate every direction's raster in one product.
+A gather is one CSR matrix, so sampling is ``matrix @ x`` and the exact
+adjoint scatter is ``matrix.T @ v``:
 
-``summed(weights, counts)`` folds a gather at consecutive groups of points
-of any sizes (the live quadrature cells of one chord after another) into
-one row per group, each row the weighted sum of its group's samples.
-Consecutive points of a group inside one bilinear patch share their four
-pixel indices; each such run is summed before the rows are merged, so the
-merge sees one entry per pixel and run.  The result is again a gather, so
-it samples with ``apply`` and scatters with ``apply_transpose``.
+- ``at_points(grid, points)`` stores four entries per point, one per patch
+  corner in a fixed order (corners outside the raster keep a zero weight).
+- ``block_diagonal(grid, blocks)`` samples each block of points from its own
+  copy of the raster, one block after another, as one matrix; the transport
+  march uses it to rotate every direction's raster in one product.
+- ``folded(grid, points, weights, counts)`` gathers one weighted sum per
+  group of consecutive points (the quadrature cells of one chord after
+  another).  Consecutive points of a group in one patch form a run; the
+  weighted corner weights of each run are summed before the rows are built,
+  so a row holds one entry per pixel, merged from its runs.
 """
 
 from __future__ import annotations
@@ -30,6 +33,31 @@ import scipy.sparse as sp
 _CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
+def _patches(grid, points):
+    """Bilinear patches of (n, 2) points and the weights of their corners.
+
+    Returns the lower-left pixel (iu, iv) of each point's patch, then for
+    each corner (dx, dy) in _CORNERS order its weight (fu or 1 - fu times
+    fv or 1 - fv, fu and fv the in-patch fractions) and whether it lies in
+    the raster.  Corner (dx, dy) is pixel (iv + dy) * nx + iu + dx.
+    """
+    u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
+    v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
+    iu = np.floor(u)
+    iv = np.floor(v)
+    fu = u - iu
+    fv = v - iv
+    iu = iu.astype(np.int64)
+    iv = iv.astype(np.int64)
+    wx = (1 - fu, fu)
+    wy = (1 - fv, fv)
+    x_ok = ((iu >= 0) & (iu < grid.nx), (iu >= -1) & (iu < grid.nx - 1))
+    y_ok = ((iv >= 0) & (iv < grid.ny), (iv >= -1) & (iv < grid.ny - 1))
+    weights = [wx[dx] * wy[dy] for dx, dy in _CORNERS]
+    inside = [x_ok[dx] & y_ok[dy] for dx, dy in _CORNERS]
+    return iu, iv, weights, inside
+
+
 @dataclass
 class BilinearGather:
     """Precomputed bilinear interpolation at a fixed set of points."""
@@ -40,23 +68,12 @@ class BilinearGather:
     def at_points(cls, grid, points):
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         n = len(points)
-        u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
-        v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
-        iu = np.floor(u)
-        iv = np.floor(v)
-        fu = u - iu
-        fv = v - iv
-        iu = iu.astype(np.int64)
-        iv = iv.astype(np.int64)
+        iu, iv, weights, inside = _patches(grid, points)
         indices = np.empty((n, 4), dtype=np.int32)
         data = np.empty((n, 4))
         for k, (dx, dy) in enumerate(_CORNERS):
-            ix = iu + dx
-            iy = iv + dy
-            ok = (ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)
-            indices[:, k] = np.where(ok, iy * grid.nx + ix, 0)
-            w = (fu if dx else 1 - fu) * (fv if dy else 1 - fv)
-            data[:, k] = np.where(ok, w, 0.0)
+            indices[:, k] = np.where(inside[k], (iv + dy) * grid.nx + iu + dx, 0)
+            data[:, k] = np.where(inside[k], weights[k], 0.0)
         indptr = 4 * np.arange(n + 1, dtype=np.int32)
         matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
                                shape=(n, grid.n_pixels))
@@ -87,39 +104,44 @@ class BilinearGather:
                                shape=(n, len(point_blocks) * grid.n_pixels))
         return cls(matrix=matrix)
 
-    def summed(self, weights, counts):
+    @classmethod
+    def folded(cls, grid, points, weights, counts):
         """Gather of weighted sums over consecutive groups of points.
 
-        This gather holds four stored entries per point, as at_points makes
-        it.  weights has one entry per point; counts[g] >= 0 points make up
-        group g, groups following each other in point order.  Row g of the
-        result is sum_k weights[k] * (row k of this gather) over the points
-        k of group g.  Consecutive points of a group that share their four
-        pixel indices (the same bilinear patch) form a run; each run is
-        summed first, then repeated pixels of a row are merged.
+        weights has one entry per (n, 2) point; counts[g] >= 0 points make
+        up group g, groups following each other in point order.  Row g
+        samples sum_k weights[k] * (bilinear sample at point k) over the
+        points k of group g.  Consecutive points of a group in one patch
+        form a run: each run's weighted corner weights are summed first,
+        corners outside the raster are dropped, then repeated pixels of a
+        row are merged.
         """
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
         weights = np.asarray(weights, dtype=float).reshape(-1)
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
-        n = self.matrix.shape[0]
-        if (len(weights) != n or np.any(counts < 0) or int(counts.sum()) != n
-                or self.matrix.nnz != 4 * n):
-            raise ValueError("weights and counts do not cover the gather's points")
-        indices = self.matrix.indices.reshape(n, 4)
+        n = len(points)
+        if len(weights) != n or np.any(counts < 0) or int(counts.sum()) != n:
+            raise ValueError("weights and counts do not cover the points")
+        iu, iv, corner_weights, inside = _patches(grid, points)
         new_run = np.ones(n, dtype=bool)
-        new_run[1:] = np.any(indices[1:] != indices[:-1], axis=1)
+        new_run[1:] = (iu[1:] != iu[:-1]) | (iv[1:] != iv[:-1])
         group_starts = np.cumsum(counts)[:-1]
         new_run[group_starts[group_starts < n]] = True
         starts = np.nonzero(new_run)[0]
-        data = np.add.reduceat(self.matrix.data.reshape(n, 4) * weights[:, None],
-                               starts, axis=0)
-        group_of = np.repeat(np.arange(len(counts)), counts)
-        runs = np.bincount(group_of[starts], minlength=len(counts))
+        corner = np.stack(corner_weights)
+        corner *= weights
+        sums = np.add.reduceat(corner, starts, axis=1).T
+        iu, iv = iu[starts], iv[starts]
+        ok = np.stack([m[starts] for m in inside], axis=1)
+        cols = np.stack([(iv + dy) * grid.nx + iu + dx for dx, dy in _CORNERS], axis=1)
+        run_group = np.repeat(np.arange(len(counts)), counts)[starts]
         indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(4 * runs, out=indptr[1:])
-        matrix = sp.csr_matrix((data.reshape(-1), indices[starts].reshape(-1), indptr),
-                               shape=(len(counts), self.matrix.shape[1]))
+        np.cumsum(np.bincount(np.repeat(run_group, ok.sum(axis=1)), minlength=len(counts)),
+                  out=indptr[1:])
+        matrix = sp.csr_matrix((sums[ok], cols[ok], indptr),
+                               shape=(len(counts), grid.n_pixels))
         matrix.sum_duplicates()
-        return BilinearGather(matrix=matrix)
+        return cls(matrix=matrix)
 
     def apply(self, flat_raster):
         """Sample; flat_raster has shape (n_pixels,) or (n_pixels, B)."""

@@ -35,9 +35,10 @@ from .transport import (
 )
 
 # Cap on the boundary-trace quadrature cells of one direction, estimated as
-# (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's live cells and
-# its folded operator peaks near 170 bytes an estimated cell (tracemalloc), so
-# the cap keeps that near 360 MiB; the default h_ray = R1 / 256 at
+# (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's ragged live cells
+# and their patch-run fold peaks near 85 bytes an estimated cell (tracemalloc,
+# Gaussian absorption, with or without a jump circle), so the cap keeps that
+# near 170 MiB; the default h_ray = R1 / 256 at
 # n_bdry = 256 needs 65536 cells.
 MAX_TRACE_CELLS = 2**21
 

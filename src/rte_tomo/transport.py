@@ -17,14 +17,17 @@ from them have machine-precision adjoint pairings.
 Boundary traces re-integrate the transport source along the exit chord with
 the same attenuated quadrature used by the ray transform; a field produced
 by a transport solve remembers its source for this purpose.  Only the live
-cells of a chord, those before its entry point, enter the quadrature.  For
-raster sources the quadrature does not depend on the input, so each solver
-folds it, once and on first use, into one sparse exit-chord operator per
-direction (one row per outgoing chord, runs of cells in one bilinear patch
-summed first); tracing is a product with it and the transpose trace is the
-product with its transpose.  Analytic phantoms are evaluated on the live
-cells refined at their jump circles on every trace and summed chord by
-chord; a scattering source next to them is sampled on the same cells.
+cells of a chord, those before its entry point, enter the quadrature; one
+builder lays them out as flat ragged arrays, chord after chord, with an
+analytic source's jump-circle crossings merged into each chord's lattice.
+For raster sources the quadrature does not depend on the input, so each
+solver folds it, once and on first use, into one sparse exit-chord operator
+per direction (one row per outgoing chord, each run of cells in one bilinear
+patch summed into one entry per corner pixel); tracing is a product with it
+and the transpose trace is the product with its transpose.  Analytic
+phantoms are evaluated on their refined cells on every trace and summed
+chord by chord; a scattering source next to them goes through an operator
+folded from the same cells.
 """
 
 from __future__ import annotations
@@ -159,6 +162,16 @@ def _phantom_circles(phantom):
     if not hasattr(phantom, "jump_circles"):
         return []
     return list(phantom.jump_circles())
+
+
+def _chord_points(z, counts, back, th):
+    """Points at distances back behind exit points z against direction th.
+
+    counts[c] consecutive distances belong to z[c], chord after chord.
+    Returns (n, 2) points whose two columns are contiguous.
+    """
+    return np.stack([np.repeat(z[:, 0], counts) - back * th[0],
+                     np.repeat(z[:, 1], counts) - back * th[1]]).T
 
 
 class TransportSolver:
@@ -327,21 +340,22 @@ class TransportSolver:
 
     # -- boundary trace -----------------------------------------------------
 
-    def _chord_cells(self, q, circles, gather=True):
+    def _chord_cells(self, q, circles):
         """Attenuated quadrature cells for all chords of direction q.
 
-        Nodes sit on a lattice anchored at each exit point with step h_ray,
-        refined at jump circles of an analytic source, then closed at the
-        entry point.  Only live cells are kept: the m cells of a chord lie
-        between its m nodes below the chord length L and L itself, and the
-        node table is padded with L past them.  Absorption is sampled on the
-        live nodes only and set to zero on the padding, whose cells have
-        zero length, so the live weights are those of the padded table.
-        Returns (outgoing indices, flat cell weights, cells per chord,
-        midpoint gather or None when gather is false, flat midpoints), the
-        cells listed chord after chord.  Raster traces use the cells without
-        circles once, through _trace_operators; analytic phantoms rebuild
-        their refined cells on every trace.
+        The nodes of a chord of length L run back from its exit point: the
+        lattice h_ray * k for every k with h_ray * k < L, merged in order
+        with the crossings of an analytic source's jump circles that fall
+        strictly inside (0, L), then L itself.  Only these live nodes are
+        laid out, chord after chord in flat arrays, with one cell between
+        neighbouring nodes of a chord.  Absorption is sampled at the nodes
+        and its trapezoid integral G from the exit point is accumulated
+        chord by chord; a cell weighs 0.5 * delta * (exp(-G) at its two
+        ends).  Returns (outgoing indices, flat cell weights, cells per
+        chord, flat (n_cells, 2) midpoints), the cells listed chord after
+        chord.  Raster traces fold the cells without circles once, through
+        _trace_operators; analytic phantoms rebuild their refined cells on
+        every trace.
         """
         bg = self.bgrid
         out_idx = np.nonzero(bg.outgoing[:, q])[0]
@@ -351,55 +365,79 @@ class TransportSolver:
         h = self.h_ray
         n_full = int(math.floor(L.max() / h + 1e-12))
         lattice = h * np.arange(n_full + 1)
-        cols = [np.minimum(lattice[None, :], L[:, None]), L[:, None]]
+        n_lattice = np.searchsorted(lattice, L)              # lattice nodes below L
+        jumps = self._jump_nodes(z, L, th, circles)
+        live_jump = np.isfinite(jumps)
+        counts = n_lattice + live_jump.sum(axis=1)           # live cells per chord
+        node_start = np.cumsum(counts + 1) - (counts + 1)
+        last = node_start + counts
+        nodes = np.empty(int(last[-1]) + 1)
+        is_lattice = np.ones(len(nodes), dtype=bool)
+        is_lattice[last] = False
+        chord, rank = np.nonzero(live_jump)
+        t = jumps[chord, rank]
+        at = node_start[chord] + np.searchsorted(lattice, t) + rank
+        nodes[at] = t
+        is_lattice[at] = False
+        lattice_start = np.cumsum(n_lattice) - n_lattice
+        k = np.arange(int(n_lattice.sum())) - np.repeat(lattice_start, n_lattice)
+        nodes[is_lattice] = lattice[k]
+        nodes[last] = L
+        # Neighbouring nodes bound a cell unless they belong to two chords.
+        delta = np.diff(nodes)
+        cell = np.ones(len(delta), dtype=bool)
+        cell[last[:-1]] = False
+        if self.sigma.is_zero:
+            weights = delta[cell]
+        else:
+            sig = self.sigma.sample(_chord_points(z, counts + 1, nodes, th),
+                                    float(self.theta_angles[q]))
+            seg = 0.5 * delta * (sig[:-1] + sig[1:])
+            G = np.zeros(len(nodes))
+            for first, n in zip(node_start, counts):
+                np.add.accumulate(seg[first:first + n], out=G[first + 1:first + n + 1])
+            E = np.exp(-G)
+            weights = (0.5 * delta * (E[:-1] + E[1:]))[cell]
+        delta = delta[cell]
+        mids = _chord_points(z, counts, nodes[:-1][cell] + 0.5 * delta, th)
+        return out_idx, weights, counts, mids
+
+    @staticmethod
+    def _jump_nodes(z, L, th, circles):
+        """Jump-circle crossings of the chords, as distances back from z.
+
+        Row c holds the crossings of chord c strictly inside (0, L[c]) in
+        increasing order, padded with inf; a tangent circle (zero
+        discriminant) adds none.  Shape (n_out, 2 * len(circles)).
+        """
+        cols = []
         for cx, cy, r in circles:
             o = z - np.array([cx, cy])
             b = o @ th
             c = np.sum(o * o, axis=1) - r * r
             disc = b * b - c
             root = np.sqrt(np.maximum(disc, 0.0))
-            for t in (-b - root, -b + root):
-                back = -t
+            for back in (b + root, b - root):
                 ok = (disc > 0.0) & (back > 0.0) & (back < L)
-                cols.append(np.where(ok, back, L)[:, None])
-        nodes = np.concatenate(cols, axis=1)
-        if circles:
-            nodes = np.sort(nodes, axis=1)
-        counts = np.sum(nodes < L[:, None], axis=1)         # live cells per chord
-        live = np.arange(nodes.shape[1] - 1) < counts[:, None]
-        delta = np.diff(nodes, axis=1)
-        if self.sigma.is_zero:
-            weights = delta[live]
-        else:
-            # Nodes 0..counts of each chord are live; the padding keeps 0.
-            at = np.arange(nodes.shape[1]) <= counts[:, None]
-            pos = np.repeat(z, counts + 1, axis=0) - nodes[at][:, None] * th
-            sig = np.zeros(nodes.shape)
-            sig[at] = self.sigma.sample(pos, float(self.theta_angles[q]))
-            seg = 0.5 * delta * (sig[:, :-1] + sig[:, 1:])
-            G = np.concatenate([np.zeros((len(z), 1)), np.cumsum(seg, axis=1)], axis=1)
-            E = np.zeros(nodes.shape)
-            E[at] = np.exp(-G[at])
-            weights = 0.5 * delta[live] * (E[:, :-1][live] + E[:, 1:][live])
-        mids = (np.repeat(z, counts, axis=0)
-                - (nodes[:, :-1][live] + 0.5 * delta[live])[:, None] * th)
-        g = BilinearGather.at_points(self.grid, mids) if gather else None
-        return out_idx, weights, counts, g, mids
+                cols.append(np.where(ok, back, np.inf))
+        if not cols:
+            return np.empty((len(z), 0))
+        return np.sort(np.stack(cols, axis=1), axis=1)
 
     def _trace_operators(self):
         """Per-direction (outgoing indices, exit-chord operator), built once.
 
         Row c of operator q sums the weighted bilinear samples of the live
         cells of chord c of direction q, so it maps a raster source (N, B)
-        to the chord quadratures (n_out, B).  BilinearGather.summed folds
-        each run of cells inside one bilinear patch into a single entry per
-        pixel before the rows are merged.
+        to the chord quadratures (n_out, B).  BilinearGather.folded sums
+        each run of cells in one bilinear patch into one entry per corner
+        pixel before the rows are built.
         """
         if self._trace_ops is None:
             ops = []
             for q in range(self.n_theta):
-                out_idx, weights, counts, gather, _ = self._chord_cells(q, [])
-                ops.append((out_idx, gather.summed(weights, counts)))
+                out_idx, weights, counts, mids = self._chord_cells(q, [])
+                ops.append((out_idx, BilinearGather.folded(self.grid, mids, weights, counts)))
             self._trace_ops = ops
         return self._trace_ops
 
@@ -408,11 +446,11 @@ class TransportSolver:
 
         scatter: (n_theta, N, B) raster source or None; f_part: (N, B)
         raster, an analytic phantom broadcast over directions, or None.
-        Raster sources go through the cached per-direction operators; an
+        Raster sources go through the cached per-direction operators.  An
         analytic phantom is evaluated at the live cells refined at its jump
-        circles and summed chord by chord, with the scattering source, if
-        any, sampled on the same cells.  Returns boundary values
-        (n_bdry, n_theta, B).
+        circles and summed chord by chord; a scattering source next to it
+        goes through an exit-chord operator folded from the same cells.
+        Returns boundary values (n_bdry, n_theta, B).
         """
         analytic = f_part is not None and not isinstance(f_part, np.ndarray)
         B = scatter.shape[2] if scatter is not None else (
@@ -430,14 +468,13 @@ class TransportSolver:
             return out
         circles = _phantom_circles(f_part)
         for q in range(self.n_theta):
-            out_idx, weights, counts, gather, mids = self._chord_cells(
-                q, circles, gather=scatter is not None)
-            vals = np.asarray(f_part(mids), dtype=float).reshape(-1, 1)
-            if scatter is not None:
-                vals = vals + gather.apply(scatter[q])
+            out_idx, weights, counts, mids = self._chord_cells(q, circles)
+            vals = weights * np.asarray(f_part(mids), dtype=float).reshape(-1)
             # Every outgoing chord has at least one live cell.
-            starts = np.cumsum(counts) - counts
-            out[out_idx, q] = np.add.reduceat(weights[:, None] * vals, starts, axis=0)
+            out[out_idx, q] = np.add.reduceat(vals, np.cumsum(counts) - counts)[:, None]
+            if scatter is not None:
+                op = BilinearGather.folded(self.grid, mids, weights, counts)
+                out[out_idx, q] += op.apply(scatter[q])
         return out
 
     def trace_transpose(self, cot):

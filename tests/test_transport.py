@@ -406,7 +406,8 @@ class TestAdjointPairs:
         f = rng.standard_normal((s.grid.n_pixels, 3))
         ref = np.zeros((s.bgrid.n_bdry, 8, 3))
         for q in range(8):
-            out_idx, weights, counts, gather, _ = s._chord_cells(q, [])
+            out_idx, weights, counts, mids = s._chord_cells(q, [])
+            gather = BilinearGather.at_points(s.grid, mids)
             vals = gather.apply(scatter[q]) + gather.apply(f)
             cells = weights[..., None] * vals
             np.add.at(ref[:, q], np.repeat(out_idx, counts), cells)
@@ -448,6 +449,75 @@ class TestAdjointPairs:
         mids = z[:, None, :] - (nodes[:, :-1] + 0.5 * delta)[..., None] * th
         return out_idx, weights, mids
 
+    def _ragged_matches_padded(self, s, q, circles):
+        """Ragged cells of direction q against the padded reference at 1e-12.
+
+        The reference row of chord c holds its counts[c] live cells first;
+        every later cell has zero length and weight.  Returns the ragged
+        (outgoing indices, weights, counts).
+        """
+        out_idx, weights, counts, mids = s._chord_cells(q, circles)
+        ref_idx, ref_w, ref_mids = self._padded_cells(s, q, circles)
+        np.testing.assert_array_equal(out_idx, ref_idx)
+        live = np.arange(ref_w.shape[1]) < counts[:, None]
+        assert np.all(ref_w[~live] == 0.0)
+        assert weights.shape == (int(counts.sum()),)
+        assert np.max(np.abs(weights - ref_w[live])) <= 1e-12 * np.max(np.abs(ref_w))
+        assert np.max(np.abs(mids - ref_mids[live])) <= 1e-12
+        return out_idx, weights, counts
+
+    def test_ragged_cells_chord_shorter_than_step(self):
+        grid = Grid(20, 20, 1.0)
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.5, width=0.4)
+        s = TransportSolver(geom=GEOM, grid=grid, sigma=sigma, n_theta=8,
+                            n_bdry=24, h_ray=0.6)
+        phantom = DiskPhantom(center=(0.15, -0.1), radius=0.45, value=1.3)
+        short = 0
+        for q in range(8):
+            self._ragged_matches_padded(s, q, phantom.jump_circles())
+            out_idx, _, counts = self._ragged_matches_padded(s, q, [])
+            L = 2.0 * GEOM.radius_outer * s.bgrid.normal_dot[out_idx, q]
+            assert np.all(counts[L < s.h_ray] == 1)
+            short += int(np.sum(L < s.h_ray))
+        assert short > 0
+
+    def test_ragged_cells_tangent_circle(self):
+        s = self._solver()
+        # Through exit point (1, 0) direction 0 runs the x axis; the circle
+        # touches it at distance 0.5 back, with a discriminant of exactly 0.
+        circles = [(0.5, -0.25, 0.25)]
+        np.testing.assert_array_equal(s.bgrid.points[0], [1.0, 0.0])
+        np.testing.assert_array_equal(s.theta_vecs[0], [1.0, 0.0])
+        o = s.bgrid.points[0] - np.array([0.5, -0.25])
+        assert (o @ s.theta_vecs[0]) ** 2 - (o @ o - 0.25 ** 2) == 0.0
+        out_idx, _, counts = self._ragged_matches_padded(s, 0, circles)
+        assert out_idx[0] == 0
+        _, _, plain = self._ragged_matches_padded(s, 0, [])
+        assert counts[0] == plain[0]
+
+    def test_ragged_cells_jump_on_lattice_node(self):
+        s = self._solver()
+        # The x axis crosses this circle at 0.25 and 0.75 back from (1, 0),
+        # lattice nodes 64 and 192 of h_ray = 1/256.
+        circles = [(0.5, 0.0, 0.25)]
+        assert s.h_ray == 1.0 / 256
+        out_idx, weights, counts = self._ragged_matches_padded(s, 0, circles)
+        _, _, plain = self._ragged_matches_padded(s, 0, [])
+        assert out_idx[0] == 0 and counts[0] == plain[0] + 2
+        assert np.sum(weights[:counts[0]] == 0.0) == 2
+
+    def test_ragged_cells_crossings_outside_chords(self):
+        s = self._solver()
+        # One circle encloses the outer disk; two lie just outside it on the
+        # x axis, behind the exit point (1, 0) and beyond the entry point
+        # (-1, 0) of direction 0.  Every crossing falls outside (0, L).
+        circles = [(0.0, 0.0, 5.0), (1.3, 0.0, 0.2), (-1.3, 0.0, 0.2)]
+        for q in range(8):
+            _, weights, counts = self._ragged_matches_padded(s, q, circles)
+            _, plain_w, plain = s._chord_cells(q, [])[:3]
+            np.testing.assert_array_equal(counts, plain)
+            np.testing.assert_array_equal(weights, plain_w)
+
     def test_analytic_trace_matches_cell_quadrature(self):
         s = self._solver()
         assert not s.sigma.is_zero
@@ -484,7 +554,7 @@ class TestAdjointPairs:
         counts = np.array([0, 7, 1, 0, 12] + [5] * ((n - 20) // 5))
         counts = np.append(counts, n - counts.sum())
         weights = rng.uniform(0.1, 2.0, n)
-        folded = gather.summed(weights, counts)
+        folded = BilinearGather.folded(grid, pts, weights, counts)
         assert folded.matrix.shape == (len(counts), grid.n_pixels)
         dense = gather.matrix.toarray() * weights[:, None]
         group = np.repeat(np.arange(len(counts)), counts)
@@ -501,20 +571,20 @@ class TestAdjointPairs:
             assert lhs == pytest.approx(rhs, rel=1e-12)
         for bad in (counts[:-1], np.append(counts, 1), counts + 1):
             with pytest.raises(ValueError, match="do not cover"):
-                gather.summed(weights, bad)
+                BilinearGather.folded(grid, pts, weights, bad)
         with pytest.raises(ValueError, match="do not cover"):
-            gather.summed(weights[:-1], counts)
+            BilinearGather.folded(grid, pts, weights[:-1], counts)
 
     def test_trace_operators_are_built_once(self, monkeypatch):
         s = self._solver()
         builds = []
-        at_points = BilinearGather.at_points.__func__
+        folded = BilinearGather.folded.__func__
 
-        def counted(cls, grid, points):
-            builds.append(len(points))
-            return at_points(cls, grid, points)
+        def counted(cls, grid, points, weights, counts):
+            builds.append(len(counts))
+            return folded(cls, grid, points, weights, counts)
 
-        monkeypatch.setattr(BilinearGather, "at_points", classmethod(counted))
+        monkeypatch.setattr(BilinearGather, "folded", classmethod(counted))
         rng = np.random.default_rng(8)
         f = rng.standard_normal((s.grid.n_pixels, 2))
         first = s.trace_phase(None, f)
