@@ -47,6 +47,9 @@ MAX_TRACE_CELLS = 2**21
 # peaks near 180, so the cap keeps a solve near 750 MiB; the default 64x64
 # grid with 64 directions has 2**18.  The same cap bounds nx * ny * symbol.n_xi:
 # the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction.
+# It also bounds nx * ny * (2 scattering.n_modes + 1)**2 for the
+# Henyey-Greenstein preset: its 2n + 1 separable terms give the solver's
+# scattering table (2n + 1)**2 floats a pixel, 32 MiB at the cap.
 MAX_PIXEL_DIRECTIONS = 2**22
 
 # Cap on wavefront edge samples.  The edge report tests microvisibility in
@@ -220,10 +223,25 @@ def _validate(cfg):
             f"symbol.n_xi = {cfg.symbol_n_xi} on a {cfg.nx}x{cfg.ny} grid gives "
             f"{pixel_covectors} pixel-directions; the cap is {MAX_PIXEL_DIRECTIONS} "
             f"(lower symbol.n_xi)")
+    if cfg.scattering_preset == "henyey-greenstein":
+        if cfg.scattering_n_modes < 0:
+            raise ConfigError("scattering.n_modes must be nonnegative")
+        table = (2 * cfg.scattering_n_modes + 1) ** 2 * cfg.nx * cfg.ny
+        if table > MAX_PIXEL_DIRECTIONS:
+            raise ConfigError(
+                f"scattering.n_modes = {cfg.scattering_n_modes} on a {cfg.nx}x{cfg.ny} "
+                f"grid gives a scattering table of {table} entries; the cap is "
+                f"{MAX_PIXEL_DIRECTIONS} (lower scattering.n_modes)")
     if cfg.wavefront_n_edge > MAX_EDGE_SAMPLES:
         raise ConfigError(
             f"wavefront.n_edge = {cfg.wavefront_n_edge} is above the cap "
             f"{MAX_EDGE_SAMPLES}")
+    if not _source_disk_has_pixels(cfg):
+        raise ConfigError(
+            f"no pixel centre of the grid.nx = {cfg.nx} by grid.ny = {cfg.ny} grid "
+            f"lies inside the source disk: geometry.R = {cfg.radius_inner:g} is too "
+            f"small against geometry.R1 = {cfg.radius_outer:g} (raise geometry.R, "
+            f"grid.nx or grid.ny, or lower geometry.R1)")
     h_ray = cfg.solver_h_ray or cfg.radius_outer / RAY_STEPS_PER_RADIUS
     cells = 0.5 * cfg.n_bdry * 2.0 * cfg.radius_outer / h_ray
     if cells > MAX_TRACE_CELLS:
@@ -231,6 +249,20 @@ def _validate(cfg):
             f"solver.h_ray = {h_ray:g} with grid.n_bdry = {cfg.n_bdry} needs about "
             f"{cells:.3g} boundary-trace cells per direction; the cap is "
             f"{MAX_TRACE_CELLS} (raise solver.h_ray or lower grid.n_bdry)")
+
+
+def _source_disk_has_pixels(cfg):
+    """Whether a pixel centre lies strictly inside the source disk.
+
+    Works in units of R1, where the centres sit at (2i + 1)/n - 1 for
+    i < n along each axis and the disk has radius R/R1 < 1, so nothing
+    overflows.  The centre nearest 0 is at 0 for odd n and 1/n for even n.
+    """
+    def nearest_sq(n):
+        return 0.0 if n % 2 else (1.0 / n) ** 2
+
+    ratio = cfg.radius_inner / cfg.radius_outer
+    return nearest_sq(cfg.nx) + nearest_sq(cfg.ny) < ratio * ratio
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +465,18 @@ class Report:
     def solve_report(self, rep):
         self.value("iterations", rep.iterations)
         self.value("converged", rep.converged)
-        self.value("spectral_radius_estimate", rep.spectral_radius_estimate)
+        self.certificate(rep)
         for i, res in enumerate(rep.residual_history):
             self.value(f"residual[{i}]", res)
+
+    def certificate(self, rep):
+        """The spectral radius bound (upper end) and how it was obtained."""
+        cert = rep.certificate
+        self.value("spectral_radius_estimate", cert.upper)
+        self.value("certificate", cert.method)
+        self.value("certificate_applications", cert.applications)
+        if cert.lower is not None:
+            self.value("spectral_radius_lower", cert.lower)
 
     def write(self):
         path = self.out / "report.txt"
@@ -621,8 +662,7 @@ def run_command(command, cfg, config_path="<config>"):
         status = _DISPATCH[command](cfg, rep)
     except NonConvergenceError as exc:
         rep.value("converged", False)
-        rep.value("spectral_radius_estimate",
-                  exc.report.spectral_radius_estimate)
+        rep.certificate(exc.report)
         rep.line(f"error = {exc}")
         rep.write()
         print(f"solver did not converge: {exc}", file=sys.stderr)

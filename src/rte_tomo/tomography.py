@@ -67,8 +67,11 @@ def series_length(solver):
     """Scattering series length matching the solver tolerance.
 
     Zero for a vanishing kernel; otherwise the smallest m with rho^m below
-    tol, clamped to [1, max_iter].  Both the assembled-matrix and the
-    iterative measurement paths use this, so they sum the same series.
+    tol, clamped to [1, max_iter], where rho is the solver's spectral radius
+    bound (the upper end of its Collatz-Wielandt bracket, or the power
+    estimate for a kernel with a negative discrete entry).  Both the
+    assembled-matrix and the iterative measurement paths use this, so they
+    sum the same series.
     """
     if solver.kernel.is_zero:
         return 0

@@ -28,6 +28,15 @@ and the transpose trace is the product with its transpose.  Analytic
 phantoms are evaluated on their refined cells on every trace and summed
 chord by chord; a scattering source next to them goes through an operator
 folded from the same cells.
+
+The scattering fixed point is only iterated when the spectral radius of
+K T1^{-1} is certified below one.  For a kernel that is nonnegative on the
+discrete direction grid, K T1^{-1} is an entrywise nonnegative matrix (the
+gathers, march factors and masks are all nonnegative), so a Collatz-Wielandt
+bracket proves bounds on its spectral radius: for any x > 0 on the
+kernel's pixel support, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i.  The
+bracket is tightened by normalised power steps until it closes.  A kernel
+with a negative discrete entry falls back to a power-iteration estimate.
 """
 
 from __future__ import annotations
@@ -44,11 +53,25 @@ from .geometry import uniform_angles, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
-# Refuse the fixed-point solve when the scattering spectral radius estimate
-# is above 1 minus this margin.
+# Refuse the fixed-point solve unless the scattering spectral radius bound
+# (the upper end of the bracket, or the power estimate) is below 1 minus
+# this margin.  A bracket whose lower end reaches it proves the refusal.
 CONTRACTION_MARGIN = 1e-3
 
-# Power-iteration steps and start-vector seed of the spectral radius estimate.
+# The Collatz-Wielandt bracket stops once its gap is at most this fraction
+# of its upper end, or after BRACKET_MAX_APPLICATIONS products with
+# K T1^{-1} (the power fallback's budget); the upper end is a sound bound
+# either way.
+BRACKET_RTOL = 1e-11
+BRACKET_MAX_APPLICATIONS = 60
+
+# Kernel entries per pixel chunk of the discrete sign check, so the check
+# never holds an (n_theta^2, N) table.
+SIGN_CHECK_ENTRIES = 2**20
+
+# Power-iteration fallback for kernels with a negative discrete entry: steps
+# on the square of (K T1^{-1}), two products each, and the start-vector seed.
+# Its result is an estimate, not a bound.
 POWER_STEPS = 30
 POWER_SEED = 0
 
@@ -62,11 +85,34 @@ class NonConvergenceError(RuntimeError):
 
 
 @dataclass(frozen=True)
+class Certificate:
+    """How the spectral radius of K T1^{-1} was bounded.
+
+    method is "collatz-wielandt" (rho lies in [lower, upper]),
+    "power-iteration" (upper is an estimate, lower is None) or "none" (zero
+    kernel, rho = 0); applications counts the products with K T1^{-1} spent.
+    """
+
+    method: str
+    applications: int
+    upper: float
+    lower: float = None
+
+
+NO_SCATTERING = Certificate("none", 0, 0.0)
+
+
+@dataclass(frozen=True)
 class SolveReport:
     iterations: int
     residual_history: tuple
-    spectral_radius_estimate: float
     converged: bool
+    certificate: Certificate
+
+    @property
+    def spectral_radius_estimate(self):
+        """The spectral radius bound the solve rested on (upper end)."""
+        return self.certificate.upper
 
     @property
     def scatter_terms(self):
@@ -204,7 +250,7 @@ class TransportSolver:
         self._trace_ops = None
         self._march_A = None
         self._k_tables = None
-        self._rho = None
+        self.certificate = None
         self._chi_cache = {}
 
     # -- phase-space tables, built once ------------------------------------
@@ -493,42 +539,121 @@ class TransportSolver:
                 spec, bg.angles[:, None], bg.normal_dot)
         return self._chi_cache[spec]
 
-    # -- spectral estimate and fixed point ----------------------------------
+    # -- contraction certificate and fixed point ----------------------------
 
     def spectral_radius(self):
-        """Power-iteration estimate of the scattering contraction rate.
+        """Upper bound of the spectral radius of K T1^{-1}, computed once.
+
+        For a kernel nonnegative on the discrete grid this is the upper end
+        of a Collatz-Wielandt bracket (_collatz_wielandt); otherwise, or when
+        an iterate of the bracket is not strictly positive on the kernel's
+        support, it is the power-iteration estimate (_power_estimate).  The
+        Certificate is kept in ``self.certificate`` (None until this runs).
+        """
+        if self.certificate is None:
+            if self.kernel.is_zero:
+                self.certificate = NO_SCATTERING
+            else:
+                cert, spent = self._collatz_wielandt()
+                self.certificate = cert or self._power_estimate(spent)
+        return self.certificate.upper
+
+    def _kernel_nonnegative(self):
+        """Whether every discrete kernel entry is nonnegative.
+
+        Pixel n scatters direction q' into q with weight
+        w_theta * (theta_mat^T ka[:, :, n] trig)[q, q'].  Nonnegative factor
+        tables settle it at once; otherwise the products are checked in
+        chunks of at most SIGN_CHECK_ENTRIES entries.
+        """
+        trig, ka, theta_mat = self._k_matrices()
+        if all(np.all(t >= 0.0) for t in (trig, ka, theta_mat)):
+            return True
+        chunk = max(1, SIGN_CHECK_ENTRIES // self.n_theta**2)
+        for first in range(0, ka.shape[2], chunk):
+            left = np.einsum("jq,jmn->nqm", theta_mat, ka[:, :, first:first + chunk])
+            if np.any(left @ trig < 0.0):
+                return False
+        return True
+
+    def _collatz_wielandt(self):
+        """Collatz-Wielandt bracket of rho(K T1^{-1}) for a nonnegative kernel.
+
+        Rows of K T1^{-1} vanish off the pixels S where the kernel does, so
+        its spectral radius is that of the block on S.  Each step forms
+        y = K T1^{-1} x; with x > 0 on S, min_S y/x <= rho <= max_S y/x, and
+        x = y / max_S y/x is the next start.  The first x is the kernel's
+        largest factor magnitude at each pixel of S, scaled to peak at 1: a
+        flat start would put the first lower end near the smallest kernel
+        value on S, which the tapered extension drives towards zero.  Stops
+        when the gap is at most BRACKET_RTOL of the upper end, when the
+        lower end proves the refusal, or after BRACKET_MAX_APPLICATIONS
+        steps.  A product that overflows gives an infinite, still sound,
+        upper end.  Returns (Certificate or None, products spent); None when
+        the kernel has a negative discrete entry or an iterate is not
+        strictly positive on S.
+        """
+        if not self._kernel_nonnegative():
+            return None, 0
+        _, ka, _ = self._k_matrices()
+        profile = np.abs(ka).max(axis=(0, 1))
+        support = profile > 0.0
+        x = np.zeros((self.n_theta, self.grid.n_pixels, 1))
+        x[:, support, 0] = profile[support] / profile.max()
+        for n in range(1, BRACKET_MAX_APPLICATIONS + 1):
+            y = self.k_apply(self.t1_apply(x))
+            y_s = y[:, support]
+            if not np.all(y_s > 0.0):
+                return None, n
+            ratio = y_s / x[:, support]
+            lo, hi = float(ratio.min()), float(ratio.max())
+            if hi - lo <= BRACKET_RTOL * hi or lo >= 1.0 - CONTRACTION_MARGIN:
+                break
+            x = y / hi
+        return Certificate("collatz-wielandt", n, hi, lo), n
+
+    def _power_estimate(self, spent):
+        """Power-iteration estimate of rho(K T1^{-1}), not a bound.
 
         Runs POWER_STEPS steps on the square of (K T1^{-1}) from a seeded
-        random start and returns the square root of the final growth ratio.
+        random start and takes the square root of the final growth ratio,
+        or inf when the products overflow.  spent counts products already
+        used by an abandoned bracket.
         """
-        if self._rho is not None:
-            return self._rho
-        if self.kernel.is_zero:
-            self._rho = 0.0
-            return 0.0
         rng = np.random.default_rng(POWER_SEED)
         v = rng.standard_normal((self.n_theta, self.grid.n_pixels, 1))
         v /= phase_norm(v, self.grid)
         ratio = 0.0
-        for _ in range(POWER_STEPS):
+        for step in range(1, POWER_STEPS + 1):
             w = self.k_apply(self.t1_apply(self.k_apply(self.t1_apply(v))))
             n = float(phase_norm(w, self.grid)[0])
             if n == 0.0:
-                self._rho = 0.0
-                return 0.0
+                return Certificate("power-iteration", spent + 2 * step, 0.0)
             ratio = n
             v = w / n
-        self._rho = math.sqrt(ratio)
-        return self._rho
+        rho = math.sqrt(ratio) if math.isfinite(ratio) else math.inf
+        return Certificate("power-iteration", spent + 2 * POWER_STEPS, rho)
+
+    def _report(self, iterations, history, converged, cert=None):
+        """SolveReport carrying a certificate, by default this solver's."""
+        return SolveReport(iterations=iterations, residual_history=tuple(history),
+                           converged=converged,
+                           certificate=cert if cert is not None else self.certificate)
 
     def require_contraction(self):
+        """The spectral radius bound; raises NonConvergenceError unless it
+        is below 1 - CONTRACTION_MARGIN."""
         rho = self.spectral_radius()
         if rho >= 1.0 - CONTRACTION_MARGIN:
-            report = SolveReport(iterations=0, residual_history=(),
-                                 spectral_radius_estimate=rho, converged=False)
+            cert = self.certificate
+            if cert.lower is not None and cert.lower >= 1.0 - CONTRACTION_MARGIN:
+                what = f"is at least {cert.lower:.9g} (Collatz-Wielandt lower bound)"
+            else:
+                kind = "estimate" if cert.lower is None else "bound"
+                what = f"{kind} {rho:.9g} is not safely below 1"
             raise NonConvergenceError(
-                f"scattering spectral radius estimate {rho:.6f} is not "
-                f"safely below 1; refusing the fixed-point solve", report)
+                f"scattering spectral radius {what}; refusing the fixed-point "
+                f"solve", self._report(0, (), False))
         return rho
 
     def _f_flat(self, f, phantom):
@@ -548,7 +673,7 @@ class TransportSolver:
         """Source iteration for u = T1^{-1}(K u + J f).
 
         Returns (PhaseSpaceField, SolveReport).  Refuses to iterate when the
-        spectral radius estimate is not safely below one; raises
+        spectral radius bound is not safely below one; raises
         NonConvergenceError carrying the report as soon as the residual is
         non-finite, or once max_iter is exhausted.
         """
@@ -556,16 +681,14 @@ class TransportSolver:
         jf = self.j_apply(f_flat)
         if self.kernel.is_zero:
             u = self.t1_apply(jf)
-            report = SolveReport(iterations=1, residual_history=(),
-                                 spectral_radius_estimate=0.0, converged=True)
+            report = self._report(1, (), True, NO_SCATTERING)
             return self._make_field(u, phantom if phantom is not None else f_flat,
                                     None), report
-        rho = self.require_contraction()
+        self.require_contraction()
         u = self.t1_apply(jf)
         scale = float(phase_norm(u, self.grid)[0])
         if scale == 0.0:
-            report = SolveReport(iterations=1, residual_history=(),
-                                 spectral_radius_estimate=rho, converged=True)
+            report = self._report(1, (), True)
             return self._make_field(u, phantom if phantom is not None else f_flat,
                                     None), report
         history = []
@@ -579,18 +702,15 @@ class TransportSolver:
             history.append(res)
             u = u_next
             if not math.isfinite(res):
-                report = SolveReport(iterations=it, residual_history=tuple(history),
-                                     spectral_radius_estimate=rho, converged=False)
+                report = self._report(it, history, False)
                 raise NonConvergenceError(
                     f"fixed-point residual is non-finite ({res}) at iteration {it}",
                     report)
             if res < self.tol:
-                report = SolveReport(iterations=it, residual_history=tuple(history),
-                                     spectral_radius_estimate=rho, converged=True)
+                report = self._report(it, history, True)
                 return self._make_field(u, phantom if phantom is not None else f_flat,
                                         scatter), report
-        report = SolveReport(iterations=self.max_iter, residual_history=tuple(history),
-                             spectral_radius_estimate=rho, converged=False)
+        report = self._report(self.max_iter, history, False)
         raise NonConvergenceError(
             f"fixed point did not reach tolerance {self.tol:g} in "
             f"{self.max_iter} iterations", report)
@@ -660,18 +780,14 @@ class TransportSolver:
             n_terms += 1
             ratio = float((phase_norm(y, self.grid) / scale).max())
             if not math.isfinite(ratio):
-                report = SolveReport(iterations=n_terms, residual_history=(),
-                                     spectral_radius_estimate=self.spectral_radius(),
-                                     converged=False)
+                report = self._report(n_terms, (), False)
                 raise NonConvergenceError(
                     f"scattering series residual is non-finite ({ratio}) at "
                     f"term {n_terms}", report)
             if ratio < self.tol:
                 break
         else:
-            report = SolveReport(iterations=self.max_iter, residual_history=(),
-                                 spectral_radius_estimate=self.spectral_radius(),
-                                 converged=False)
+            report = self._report(self.max_iter, (), False)
             raise NonConvergenceError("scattering series did not settle", report)
         b = self.trace_phase(acc, None)
         return self.chi_values(spec)[..., None] * b, n_terms

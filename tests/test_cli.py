@@ -155,10 +155,20 @@ class TestParseConfig:
          "the cap is 4194304 (lower symbol.n_xi)"),
         ("wavefront.n_edge = 1000000000\n",
          "wavefront.n_edge = 1000000000 is above the cap 65536"),
+        # Found by the forward fuzzer: the kernel build exhausted memory.
+        ("scattering.preset = henyey-greenstein\nscattering.n_modes = 1000000\n",
+         "scattering.n_modes = 1000000 on a 64x64 grid gives a scattering table of "
+         "16384016384004096 entries; the cap is 4194304 (lower scattering.n_modes)"),
+        ("scattering.preset = henyey-greenstein\nscattering.n_modes = -1\n",
+         "scattering.n_modes must be nonnegative"),
+        ("geometry.R = 0.01\ngrid.nx = 8\ngrid.ny = 8\n",
+         "no pixel centre of the grid.nx = 8 by grid.ny = 8 grid lies inside the "
+         "source disk: geometry.R = 0.01 is too small against geometry.R1 = 1.2"),
     ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
             "zero-radius", "tiny-ray-step", "huge-boundary-count",
             "zero-source-width", "negative-absorption-width", "huge-phase-space",
-            "huge-symbol-directions", "huge-edge-count"])
+            "huge-symbol-directions", "huge-edge-count", "huge-hg-mode-count",
+            "negative-hg-mode-count", "no-source-pixel"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
@@ -284,6 +294,37 @@ class TestForwardCommand:
         code, _ = launch(tmp_path, "forward", text)
         assert code == 1
         assert "reaches outside the source region" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("scattering, code, method", [
+        ("isotropic\nscattering.total = 0.5", 0, "collatz-wielandt"),
+        ("isotropic\nscattering.total = 12.0", 2, "collatz-wielandt"),
+        ("henyey-greenstein\nscattering.total = 0.5\nscattering.g = 0.9", 0,
+         "power-iteration"),
+        ("zero", 0, "none"),
+    ], ids=["bracket", "proven-refusal", "power-fallback", "zero-kernel"])
+    def test_report_states_the_certificate(self, tmp_path, capsys, scattering,
+                                           code, method):
+        text = TINY + f"scattering.preset = {scattering}\n"
+        status, out_dir = launch(tmp_path, "forward", text)
+        capsys.readouterr()
+        assert status == code
+        lines, values = read_report(out_dir)
+        assert values["certificate"] == method
+        upper = float(values["spectral_radius_estimate"])
+        applications = int(values["certificate_applications"])
+        if method == "collatz-wielandt":
+            lower = float(values["spectral_radius_lower"])
+            assert 0.0 < lower <= upper
+            if code == 0:
+                assert upper - lower <= 1e-9 * upper
+                assert applications <= 30
+            else:
+                assert lower >= 1.0 and applications == 1
+        else:
+            assert "spectral_radius_lower" not in values
+            assert applications == (60 if method == "power-iteration" else 0)
+        assert not any("nan" in ln for ln in lines)
 
 
 class TestMeasureCommand:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from rte_tomo._interp import BilinearGather
-from rte_tomo.coefficients import AbsorptionField, ScatteringKernel
+from rte_tomo import transport
+from rte_tomo.coefficients import AbsorptionField, ScatteringKernel, TrigPoly
 from rte_tomo.geometry import CutoffSpec, DiskGeometry, Grid
 from rte_tomo.phantoms import DiskPhantom
 from rte_tomo.tomography import ray_transform
@@ -20,6 +21,7 @@ from rte_tomo.transport import (
     apply_K,
     apply_T1_inverse,
     measure_XV,
+    phase_norm,
     solve_forward,
     trace_plus,
 )
@@ -263,6 +265,128 @@ class TestSolveForward:
                 n_theta=8, n_bdry=16)
             rhos.append(solver.spectral_radius())
         assert rhos[1] == pytest.approx(2.0 * rhos[0], rel=1e-9)
+
+
+def power_estimate(solver, steps, seed=0):
+    """Power iteration on (K T1^{-1})^2 from a seeded normal start.
+
+    With 30 steps and seed 0 this is the certificate's fallback estimate,
+    step for step; longer runs serve as a reference value.
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((solver.n_theta, solver.grid.n_pixels, 1))
+    v /= phase_norm(v, solver.grid)
+    for _ in range(steps):
+        w = solver.k_apply(solver.t1_apply(solver.k_apply(solver.t1_apply(v))))
+        n = float(phase_norm(w, solver.grid)[0])
+        v = w / n
+    return math.sqrt(n)
+
+
+def counting_t1(solver):
+    """Count the solver's t1_apply calls in the returned list's length."""
+    calls = []
+    t1_apply = solver.t1_apply
+
+    def counted(values):
+        calls.append(1)
+        return t1_apply(values)
+
+    solver.t1_apply = counted
+    return calls
+
+
+def isotropic(total):
+    return lambda grid: ScatteringKernel.isotropic(grid, GEOM, total)
+
+
+def henyey_greenstein(total, g):
+    return lambda grid: ScatteringKernel.henyey_greenstein(grid, GEOM, total, g)
+
+
+class TestCertificate:
+    @staticmethod
+    def _solver(kernel_of, sigma=0.0):
+        grid = Grid(24, 24, 1.0)
+        sig = (AbsorptionField.constant(grid, GEOM, sigma) if sigma
+               else AbsorptionField.zero(grid))
+        return TransportSolver(geom=GEOM, grid=grid, sigma=sig,
+                               kernel=kernel_of(grid), n_theta=8, n_bdry=16)
+
+    @pytest.mark.parametrize("kernel_of, sigma", [
+        (isotropic(0.9), 0.0),
+        (isotropic(0.9), 0.5),
+        (henyey_greenstein(0.9, 0.4), 0.5),
+    ], ids=["isotropic", "isotropic-absorbing", "hg-0.4-absorbing"])
+    def test_bracket_contains_long_power_iteration(self, kernel_of, sigma):
+        solver = self._solver(kernel_of, sigma=sigma)
+        rho = solver.spectral_radius()
+        cert = solver.certificate
+        assert cert.method == "collatz-wielandt"
+        assert rho == cert.upper
+        reference = power_estimate(self._solver(kernel_of, sigma=sigma), 300)
+        assert cert.lower <= reference * (1 + 1e-13)
+        assert reference <= cert.upper * (1 + 1e-13)
+        assert cert.upper - cert.lower <= 1e-9 * cert.upper
+
+    def test_bracket_needs_at_most_thirty_sweeps(self):
+        # R = 1, R1 = 1.2, constant absorption 0.3, isotropic total 0.4:
+        # the 40x40 grid with 24 directions of the forward benchmark.
+        geom = DiskGeometry(1.0, 1.2)
+        grid = Grid(40, 40, 1.2)
+        solver = TransportSolver(
+            geom=geom, grid=grid, sigma=AbsorptionField.constant(grid, geom, 0.3),
+            kernel=ScatteringKernel.isotropic(grid, geom, 0.4), n_theta=24,
+            n_bdry=16)
+        calls = counting_t1(solver)
+        solver.spectral_radius()
+        assert solver.certificate.method == "collatz-wielandt"
+        assert len(calls) == solver.certificate.applications <= 30
+
+    def test_negative_kernel_falls_back_to_power_iteration(self):
+        # The truncated Henyey-Greenstein kernel at g = 0.9 is negative at
+        # back-scattering directions of the 8-direction grid.
+        kernel_of = henyey_greenstein(0.5, 0.9)
+        solver = self._solver(kernel_of)
+        assert not solver._kernel_nonnegative()
+        calls = counting_t1(solver)
+        rho = solver.spectral_radius()
+        assert solver.certificate.method == "power-iteration"
+        assert solver.certificate.lower is None
+        assert len(calls) == solver.certificate.applications == 60
+        assert rho == power_estimate(self._solver(kernel_of), 30)
+
+    def test_sign_check_in_one_pixel_chunks(self, monkeypatch):
+        solvers = [self._solver(henyey_greenstein(0.5, g)) for g in (0.4, 0.9)]
+        assert [s._kernel_nonnegative() for s in solvers] == [True, False]
+        monkeypatch.setattr(transport, "SIGN_CHECK_ENTRIES", 8 * 8)
+        assert [s._kernel_nonnegative() for s in solvers] == [True, False]
+
+    def test_vanishing_kernel_row_falls_back_to_power_iteration(self):
+        # Theta(theta) = 1 + cos(theta) is nonnegative but zero at theta = pi,
+        # a grid direction, so K T1^{-1} x is not strictly positive there.
+        def kernel_of(grid):
+            iso = ScatteringKernel.isotropic(grid, GEOM, 0.5)
+            return ScatteringKernel(grid, modes=(
+                (TrigPoly(cos_coef=(1.0, 1.0), sin_coef=(0.0, 0.0)), iso.modes[0][1]),))
+        solver = self._solver(kernel_of)
+        assert solver._kernel_nonnegative()
+        rho = solver.spectral_radius()
+        assert solver.certificate.method == "power-iteration"
+        assert solver.certificate.applications == 1 + 60
+        assert rho == power_estimate(self._solver(kernel_of), 30)
+
+    def test_supercritical_refusal_is_proven_after_one_sweep(self):
+        solver = self._solver(isotropic(12.0))
+        calls = counting_t1(solver)
+        with pytest.raises(NonConvergenceError, match="refusing") as err:
+            solver.solve(f=bumped_source(solver.grid, GEOM))
+        cert = err.value.report.certificate
+        assert len(calls) == cert.applications == 1
+        assert cert.method == "collatz-wielandt"
+        assert 1.0 - transport.CONTRACTION_MARGIN <= cert.lower <= cert.upper
+        assert f"at least {cert.lower:.9g}" in str(err.value)
+        assert err.value.report.spectral_radius_estimate == cert.upper
 
 
 class TestTracePlus:
