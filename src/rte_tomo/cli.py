@@ -46,7 +46,8 @@ MAX_TRACE_CELLS = 2**21
 # and march factors keep 112 bytes per pixel-direction and a scattering solve
 # peaks near 180, so the cap keeps a solve near 750 MiB; the default 64x64
 # grid with 64 directions has 2**18.  The same cap bounds nx * ny * symbol.n_xi:
-# the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction.
+# the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction,
+# and its attenuation stack one block of STACK_BLOCK_NODES lattice nodes.
 # It also bounds nx * ny * (2 scattering.n_modes + 1)**2 for the
 # Henyey-Greenstein preset: its 2n + 1 separable terms give the solver's
 # scattering table (2n + 1)**2 floats a pixel, 32 MiB at the cap.
@@ -57,6 +58,9 @@ MAX_PIXEL_DIRECTIONS = 2**22
 # 220 bytes (tracemalloc) an edge on a 2-CPU machine, so the cap keeps it
 # near 0.2 s and 14 MiB; the default is 96.
 MAX_EDGE_SAMPLES = 2**16
+
+# Bound on scattering.total * 2 R1; see _validate.
+MAX_SCATTERING_REACH = 1e300
 
 COMMANDS = ("forward", "measure", "normal", "visible-set", "symbol", "svd",
             "wavefront", "smoothing")
@@ -205,12 +209,32 @@ def _validate(cfg):
         raise ConfigError("cutoff.transition_width must be nonnegative")
     if cfg.scattering_total < 0.0:
         raise ConfigError("scattering.total must be nonnegative")
+    # A product K T1^{-1} x with |x| <= 1 is at most 2 pi sup|k| times the
+    # longest chord 2 R1.  Every scattering preset has
+    # sup|k| <= (2 n_modes + 1) total / (2 pi), and the Henyey-Greenstein
+    # table cap below keeps 2 n_modes + 1 <= 256 on the smallest 8x8 grid,
+    # so under this bound the certificate's first product stays below
+    # 256e300 and its bracket stays finite.
+    reach = cfg.scattering_total * 2.0 * cfg.radius_outer
+    if cfg.scattering_preset != "zero" and reach >= MAX_SCATTERING_REACH:
+        raise ConfigError(
+            f"scattering.total = {cfg.scattering_total:g} with geometry.R1 = "
+            f"{cfg.radius_outer:g} gives scattering.total * 2 R1 = {reach:g}; it must "
+            f"stay below {MAX_SCATTERING_REACH:g} so that the spectral radius "
+            f"certificate cannot overflow (lower scattering.total)")
     if cfg.source_radius <= 0.0:
         raise ConfigError("source.radius must be positive")
     for kind in ("source", "absorption"):
-        if (getattr(cfg, f"{kind}_preset") == "gaussian"
-                and getattr(cfg, f"{kind}_width") <= 0.0):
+        if getattr(cfg, f"{kind}_preset") != "gaussian":
+            continue
+        width = getattr(cfg, f"{kind}_width")
+        if width <= 0.0:
             raise ConfigError(f"{kind}.width must be positive for the gaussian preset")
+        # A zero 2 width**2 makes the bump 0/0 = nan at its centre.
+        if 2.0 * width * width == 0.0:
+            raise ConfigError(
+                f"{kind}.width = {width:g} is too small for the gaussian preset: "
+                f"2 width**2 underflows to 0")
     pixel_directions = cfg.nx * cfg.ny * cfg.n_theta
     if pixel_directions > MAX_PIXEL_DIRECTIONS:
         raise ConfigError(

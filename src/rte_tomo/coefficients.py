@@ -36,6 +36,14 @@ def angle_of(v):
     return np.arctan2(v[..., 1], v[..., 0])
 
 
+def _radius_squared(points):
+    """x*x + y*y of (..., 2) points, from the two coordinate columns."""
+    pts = np.asarray(points, dtype=float)
+    x = pts[..., 0]
+    y = pts[..., 1]
+    return x * x + y * y
+
+
 def extension_profile(geom):
     """Radial factor: 1 on the inner disk, 0 near the outer boundary."""
     r_in = geom.radius_inner
@@ -43,8 +51,7 @@ def extension_profile(geom):
     band = r_end - r_in
 
     def profile(points):
-        r = np.linalg.norm(np.asarray(points, dtype=float), axis=-1)
-        return smooth_step(r_end - r, band)
+        return smooth_step(r_end - np.sqrt(_radius_squared(points)), band)
 
     return profile
 
@@ -147,8 +154,7 @@ class AbsorptionField(AngularField):
         r2 = geom.radius_outer**2
 
         def profile(points):
-            pts = np.asarray(points, dtype=float)
-            return np.where(np.sum(pts * pts, axis=-1) <= r2, value, 0.0)
+            return np.where(_radius_squared(points) <= r2, value, 0.0)
 
         raster = profile(grid.centers())
         return cls(grid, modes=(AngularMode(0, "cos", raster, profile),))
@@ -178,8 +184,7 @@ class AbsorptionField(AngularField):
         r2 = geom.radius_outer**2
 
         def indicator(points):
-            pts = np.asarray(points, dtype=float)
-            return (np.sum(pts * pts, axis=-1) <= r2).astype(float)
+            return (_radius_squared(points) <= r2).astype(float)
 
         def prof_base(points):
             return base * indicator(points)

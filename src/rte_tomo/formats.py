@@ -24,10 +24,10 @@ def write_grid_csv(path, raster, radius_outer):
     """Row-major grid CSV; the first line records nx, ny, R1."""
     raster = np.asarray(raster, dtype=float)
     ny, nx = raster.shape
+    row = ",".join([_FMT] * nx) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(f"{nx},{ny},{fmt(radius_outer)}\n")
-        for row in raster:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write((row * ny) % tuple(raster.ravel().tolist()))
 
 
 def read_grid_csv(path):
@@ -47,16 +47,13 @@ def read_grid_csv(path):
 def write_boundary_csv(path, bd):
     """All boundary samples, row-major in (boundary angle, direction)."""
     bg = bd.bgrid
+    rows = np.stack([np.repeat(bg.angles, bg.n_theta),
+                     np.tile(bg.theta_angles, bg.n_bdry),
+                     np.ravel(bg.weights), np.ravel(bd.values)], axis=1)
     with open(path, "w", newline="\n") as fh:
         fh.write("boundary_angle,direction_angle,weight,value\n")
-        for p in range(bg.n_bdry):
-            for q in range(bg.n_theta):
-                fh.write(",".join((
-                    fmt(bg.angles[p]),
-                    fmt(bg.theta_angles[q]),
-                    fmt(bg.weights[p, q]),
-                    fmt(bd.values[p, q]),
-                )) + "\n")
+        fh.write((f"{_FMT},{_FMT},{_FMT},{_FMT}\n" * len(rows))
+                 % tuple(rows.ravel().tolist()))
 
 
 def read_boundary_csv(path):

@@ -247,17 +247,22 @@ def smooth_step(d, w):
 
     The profile on the transition band is exp(1 - 1/(1 - s^2)) with
     s = 1 - d/w, so it glues flatly to both plateaus.  w = 0 degenerates to
-    the hard indicator of d > 0.
+    the hard indicator of d > 0.  The plateaus are written directly and the
+    bump is evaluated only on the rest, which includes NaN, so NaN
+    propagates; the result has the shape of d, 0-d included.
     """
     d = np.asarray(d, dtype=float)
     if w <= 0.0:
         return (d > 0.0).astype(float)
+    top = d >= w
+    band = ~(top | (d <= 0.0))
+    out = np.zeros(d.shape)
+    out[top] = 1.0
     with np.errstate(divide="ignore", over="ignore", under="ignore",
                      invalid="ignore"):
-        s = 1.0 - d / w
-        denom = 1.0 - s * s
-        bump = np.exp(1.0 - 1.0 / denom)
-    return np.where(d >= w, 1.0, np.where(d <= 0.0, 0.0, bump))
+        s = 1.0 - d[band] / w
+        out[band] = np.exp(1.0 - 1.0 / (1.0 - s * s))
+    return out
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from scipy import ndimage
 from .coefficients import attenuation_E
 from .geometry import (
     exit_points,
+    exit_times,
     cutoff_boundary_values,
     cutoff_extended,
     cutoff_extended_values,
@@ -31,7 +32,8 @@ from .geometry import (
     uniform_angles,
     unit_vector,
 )
-from .transport import BoundaryData, TransportSolver, phase_norm
+from .transport import (BoundaryData, TransportSolver, phase_norm, ray_nodes,
+                        ray_points)
 
 TWO_PI = 2.0 * math.pi
 
@@ -44,6 +46,9 @@ DENSE_MAX_PIXELS = 1024
 DENSE_MAX_THETA = 32
 # Edge-response window in pixels; see edge_strengths.
 EDGE_WINDOW = 3
+# Lattice nodes laid out at once by attenuation_stack.  A block peaks near
+# 45 bytes a node (tracemalloc, Gaussian absorption), about 47 MiB.
+STACK_BLOCK_NODES = 2**20
 
 
 def _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry, h_ray,
@@ -90,36 +95,39 @@ def series_length(solver):
 def attenuation_stack(sigma, geom, grid, angles, step=None):
     """E(x, theta) on all pixels for each direction angle, shape (n, N).
 
-    Forward trapezoid integral of sigma from the pixel to its exit, on a
-    per-pixel lattice padded to the longest exit time.  The padding repeats
-    the exit time, so its segments have zero length: sigma is sampled only
-    on the nodes up to each pixel's exit and set to 0 past it, which leaves
-    every sum as it is on the fully sampled table.  Pixels outside the outer
-    disk get the neutral value 1.
+    Forward trapezoid integral of sigma from the pixel to its exit time tau,
+    ray by ray: the m lattice nodes step * k below tau, then tau, so m live
+    cells and no padding.  Sigma is sampled once per node and G is one
+    reduction per ray over its cells.  Pixels are taken in blocks of at most
+    STACK_BLOCK_NODES nodes, so memory does not grow with the grid.  Pixels
+    outside the outer disk get the neutral value 1.
     """
     if step is None:
         step = 0.5 * grid.hx
-    pts = grid.points_flat()
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     out = np.ones((len(angles), grid.n_pixels))
     if sigma.is_zero:
         return out
-    p = pts[inside]
+    p = grid.points_flat()[inside]
     for a, ang in enumerate(angles):
         th = unit_vector(ang)
-        z, tau = exit_points(geom, p, th)
+        tau = exit_times(geom, p, th)
+        # A ray has at most n_full + 2 nodes.
         n_full = int(math.floor(tau.max() / step + 1e-12))
-        lattice = step * np.arange(n_full + 1)
-        nodes = np.concatenate(
-            [np.minimum(lattice[None, :], tau[:, None]), tau[:, None]], axis=1)
-        m = np.searchsorted(lattice, tau)                  # last live node
-        at = np.arange(nodes.shape[1]) <= m[:, None]
-        sig = np.zeros(nodes.shape)
-        sig[at] = sigma.sample(np.repeat(p, m + 1, axis=0) + nodes[at][:, None] * th,
-                               float(ang))
-        delta = np.diff(nodes, axis=1)
-        G = np.sum(0.5 * delta * (sig[:, :-1] + sig[:, 1:]), axis=1)
+        block = max(1, STACK_BLOCK_NODES // (n_full + 2))
+        G = np.zeros(len(p))
+        for first in range(0, len(p), block):
+            rays = slice(first, first + block)
+            _, m, nodes = ray_nodes(step, tau[rays])
+            sig = sigma.sample(ray_points(p[rays], m + 1, nodes, th), float(ang))
+            # Neighbouring nodes bound a cell unless they belong to two rays.
+            cell = np.ones(len(nodes) - 1, dtype=bool)
+            cell[np.cumsum(m + 1)[:-1] - 1] = False
+            seg = (0.5 * np.diff(nodes) * (sig[:-1] + sig[1:]))[cell]
+            # A pixel on the outer circle may exit at once and have no cell.
+            live = np.flatnonzero(m)
+            G[first + live] = np.add.reduceat(seg, (np.cumsum(m) - m)[live])
         out[a, inside] = np.exp(-G)
     return out
 

@@ -210,14 +210,30 @@ def _phantom_circles(phantom):
     return list(phantom.jump_circles())
 
 
-def _chord_points(z, counts, back, th):
-    """Points at distances back behind exit points z against direction th.
+def ray_nodes(step, lengths):
+    """Live lattice nodes of rays of the given lengths, ray after ray.
 
-    counts[c] consecutive distances belong to z[c], chord after chord.
-    Returns (n, 2) points whose two columns are contiguous.
+    Ray c gets the n[c] lattice nodes step * k below lengths[c], in order,
+    then lengths[c] itself, so n[c] cells.  Returns (lattice, n, flat nodes).
     """
-    return np.stack([np.repeat(z[:, 0], counts) - back * th[0],
-                     np.repeat(z[:, 1], counts) - back * th[1]]).T
+    n_full = int(math.floor(lengths.max() / step + 1e-12))
+    lattice = step * np.arange(n_full + 1)
+    n = np.searchsorted(lattice, lengths)
+    last = np.cumsum(n + 1) - 1
+    rank = np.arange(int(last[-1]) + 1) - np.repeat(last - n, n + 1)
+    nodes = lattice.take(rank, mode="clip")
+    nodes[last] = lengths
+    return lattice, n, nodes
+
+
+def ray_points(origins, counts, dist, direction):
+    """Points origins + dist * direction, ray after ray.
+
+    counts[c] consecutive distances belong to origins[c].  Returns (n, 2)
+    points whose two columns are contiguous.
+    """
+    return np.stack([np.repeat(origins[:, 0], counts) + dist * direction[0],
+                     np.repeat(origins[:, 1], counts) + dist * direction[1]]).T
 
 
 class TransportSolver:
@@ -408,27 +424,18 @@ class TransportSolver:
         z = bg.points[out_idx]
         L = 2.0 * self.geom.radius_outer * bg.normal_dot[out_idx, q]
         th = self.theta_vecs[q]
-        h = self.h_ray
-        n_full = int(math.floor(L.max() / h + 1e-12))
-        lattice = h * np.arange(n_full + 1)
-        n_lattice = np.searchsorted(lattice, L)              # lattice nodes below L
+        lattice, n_lattice, nodes = ray_nodes(self.h_ray, L)
+        # Each crossing goes in before the first lattice node of its chord
+        # not below it; the rows of jumps are sorted, so crossings stay in
+        # order.
         jumps = self._jump_nodes(z, L, th, circles)
-        live_jump = np.isfinite(jumps)
-        counts = n_lattice + live_jump.sum(axis=1)           # live cells per chord
+        chord, rank = np.nonzero(np.isfinite(jumps))
+        t = jumps[chord, rank]
+        lattice_first = np.cumsum(n_lattice + 1) - (n_lattice + 1)
+        nodes = np.insert(nodes, lattice_first[chord] + np.searchsorted(lattice, t), t)
+        counts = n_lattice + np.bincount(chord, minlength=len(L))   # live cells per chord
         node_start = np.cumsum(counts + 1) - (counts + 1)
         last = node_start + counts
-        nodes = np.empty(int(last[-1]) + 1)
-        is_lattice = np.ones(len(nodes), dtype=bool)
-        is_lattice[last] = False
-        chord, rank = np.nonzero(live_jump)
-        t = jumps[chord, rank]
-        at = node_start[chord] + np.searchsorted(lattice, t) + rank
-        nodes[at] = t
-        is_lattice[at] = False
-        lattice_start = np.cumsum(n_lattice) - n_lattice
-        k = np.arange(int(n_lattice.sum())) - np.repeat(lattice_start, n_lattice)
-        nodes[is_lattice] = lattice[k]
-        nodes[last] = L
         # Neighbouring nodes bound a cell unless they belong to two chords.
         delta = np.diff(nodes)
         cell = np.ones(len(delta), dtype=bool)
@@ -436,7 +443,7 @@ class TransportSolver:
         if self.sigma.is_zero:
             weights = delta[cell]
         else:
-            sig = self.sigma.sample(_chord_points(z, counts + 1, nodes, th),
+            sig = self.sigma.sample(ray_points(z, counts + 1, nodes, -th),
                                     float(self.theta_angles[q]))
             seg = 0.5 * delta * (sig[:-1] + sig[1:])
             G = np.zeros(len(nodes))
@@ -445,7 +452,7 @@ class TransportSolver:
             E = np.exp(-G)
             weights = (0.5 * delta * (E[:-1] + E[1:]))[cell]
         delta = delta[cell]
-        mids = _chord_points(z, counts, nodes[:-1][cell] + 0.5 * delta, th)
+        mids = ray_points(z, counts, nodes[:-1][cell] + 0.5 * delta, -th)
         return out_idx, weights, counts, mids
 
     @staticmethod

@@ -147,6 +147,11 @@ class TestParseConfig:
          "source.width must be positive for the gaussian preset"),
         ("absorption.preset = gaussian\nabsorption.width = -0.1\n",
          "absorption.width must be positive for the gaussian preset"),
+        # Found by the symbol fuzzer: a nan at the bump's centre pixel.
+        ("absorption.preset = gaussian\nabsorption.width = 5e-324\n",
+         "absorption.width = 4.94066e-324 is too small for the gaussian preset"),
+        ("source.preset = gaussian\nsource.width = 1e-170\n",
+         "source.width = 1e-170 is too small for the gaussian preset"),
         ("grid.nx = 1024\ngrid.ny = 512\n",
          "grid.nx = 1024, grid.ny = 512 and grid.n_theta = 64 give 33554432 "
          "pixel-directions; the cap is 4194304"),
@@ -164,11 +169,18 @@ class TestParseConfig:
         ("geometry.R = 0.01\ngrid.nx = 8\ngrid.ny = 8\n",
          "no pixel centre of the grid.nx = 8 by grid.ny = 8 grid lies inside the "
          "source disk: geometry.R = 0.01 is too small against geometry.R1 = 1.2"),
+        # The certificate's first product overflowed: "spectral radius is at
+        # least inf".
+        ("geometry.R = 99\ngeometry.R1 = 100\ngrid.nx = 8\ngrid.ny = 8\n"
+         "scattering.preset = isotropic\nscattering.total = 1e307\n",
+         "scattering.total = 1e+307 with geometry.R1 = 100 gives scattering.total "
+         "* 2 R1 = inf; it must stay below 1e+300"),
     ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
             "zero-radius", "tiny-ray-step", "huge-boundary-count",
-            "zero-source-width", "negative-absorption-width", "huge-phase-space",
+            "zero-source-width", "negative-absorption-width",
+            "subnormal-absorption-width", "tiny-source-width", "huge-phase-space",
             "huge-symbol-directions", "huge-edge-count", "huge-hg-mode-count",
-            "negative-hg-mode-count", "no-source-pixel"])
+            "negative-hg-mode-count", "no-source-pixel", "huge-scattering-total"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)

@@ -7,14 +7,16 @@ from scipy.integrate import simpson
 
 import rte_tomo as rt
 from rte_tomo.coefficients import (
+    _EXTENSION_FRACTION,
     AngularField,
     AngularMode,
     TrigPoly,
+    extension_profile,
     harmonic_h1_norm,
     ray_absorption,
     sobolev_order_limit,
 )
-from rte_tomo.geometry import boundary_exit
+from rte_tomo.geometry import boundary_exit, smooth_step
 
 GEOM = rt.DiskGeometry(1.0, 1.2)
 GRID = rt.Grid(48, 48, 1.2)
@@ -111,6 +113,36 @@ class TestAbsorptionPresets:
         vpi = sigma.sample(np.zeros(2), math.pi)
         assert v0 == pytest.approx(0.7, rel=1e-12)
         assert vpi == pytest.approx(0.3, rel=1e-12)
+
+    @staticmethod
+    def _points(layout):
+        """Random points plus points on the radii where the profiles switch."""
+        r_end = 1.0 + _EXTENSION_FRACTION * (GEOM.radius_outer - 1.0)
+        a = np.linspace(0.0, 2.0 * math.pi, 37)
+        rings = [r * np.stack([np.cos(a), np.sin(a)], axis=1)
+                 for r in (1.0, r_end, GEOM.radius_outer)]
+        rng = np.random.default_rng(4)
+        pts = np.concatenate([rng.uniform(-1.3, 1.3, (2000, 2)), *rings,
+                              [[0.0, 0.0], [-0.0, 1.2], [1.2, 0.0]]])
+        if layout == "columns":
+            return np.stack([pts[:, 0], pts[:, 1]]).T
+        return np.ascontiguousarray(pts)
+
+    @pytest.mark.parametrize("layout", ["rows", "columns"])
+    def test_profiles_match_reduction_forms_bitwise(self, layout):
+        pts = self._points(layout)
+        r2 = np.sum(pts * pts, axis=-1)
+        inside = r2 <= GEOM.radius_outer**2
+        r_end = 1.0 + _EXTENSION_FRACTION * (GEOM.radius_outer - 1.0)
+        ext = smooth_step(r_end - np.linalg.norm(pts, axis=-1), r_end - 1.0)
+        assert np.array_equal(extension_profile(GEOM)(pts), ext)
+        assert np.any((ext > 0.0) & (ext < 1.0))
+        const = rt.AbsorptionField.constant(GRID, GEOM, 0.3).modes[0].profile
+        assert np.array_equal(const(pts), np.where(inside, 0.3, 0.0))
+        base, aniso = (m.profile for m in rt.AbsorptionField.cosine_anisotropic(
+            GRID, GEOM, base=0.5, amplitude=0.2, order=2).modes)
+        assert np.array_equal(base(pts), 0.5 * inside.astype(float))
+        assert np.array_equal(aniso(pts), 0.2 * inside.astype(float))
 
     def test_from_raster_roundtrip(self):
         rng = np.random.default_rng(0)

@@ -193,6 +193,46 @@ def test_forward_survives_any_config(text):
         assert "nan" not in values.get("spectral_radius_lower", "")
 
 
+# Absorption keys for symbol: mostly a preset that absorbs, with any subset
+# of its parameters, mostly of a usable size (tiny and huge ones included),
+# else anything.
+_ABSORPTION_KEYS = tuple(key for key in _SCHEMA if key.startswith("absorption.")
+                         and key not in ("absorption.preset", "absorption.path"))
+_absorption_value = {
+    float: st.one_of(st.floats(min_value=0.0, max_value=3.0).map(repr),
+                     st.sampled_from(["5e-324", "1e-300", "1e300"]), _value),
+    int: st.one_of(st.integers(min_value=0, max_value=4).map(str), _value),
+}
+_absorption = st.fixed_dictionaries({
+    "absorption.preset": st.sampled_from(["constant", "gaussian", "cosine"] * 3
+                                         + ["zero", "x"]),
+}, optional={key: _absorption_value[_SCHEMA[key][1]] for key in _ABSORPTION_KEYS})
+_SYMBOL_KEYS = ("symbol.n_xi", "absorption.preset") + _ABSORPTION_KEYS
+
+
+@st.composite
+def symbol_documents(draw):
+    entries = {key: draw(_forward_count) for key in GRID_KEYS + ("symbol.n_xi",)}
+    entries.update(draw(_cutoff))
+    entries.update(draw(_others(1, skip=_SYMBOL_KEYS)))
+    entries.update(draw(_absorption))
+    return _document(entries)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(symbol_documents())
+# A subnormal Gaussian width made the bump nan at an odd grid's centre pixel.
+@example("grid.nx = 9\ngrid.ny = 9\ngrid.n_theta = 8\nsymbol.n_xi = 8\n"
+         "absorption.preset = gaussian\nabsorption.width = 5e-324\n")
+def test_symbol_survives_any_config(text):
+    status, report = run_cli("symbol", text)
+    event(f"exit {status}")
+    assert status in (0, 1)
+    if status == 0:
+        assert not NON_FINITE.search(_values(report))
+
+
 def test_outer_radius_with_overflowing_square_is_rejected():
     """R1**2 above the float range: no pixel lies in the source disk.
 

@@ -138,6 +138,33 @@ class TestSmoothStep:
             v = smooth_step(np.array([-1.0, 0.0, 1.0]), 5e-324)
         assert np.array_equal(v, [0.0, 0.0, 1.0])
 
+    @staticmethod
+    def _whole_array(d, w):
+        """The bump evaluated everywhere, then the plateaus chosen over it."""
+        d = np.asarray(d, dtype=float)
+        if w <= 0.0:
+            return (d > 0.0).astype(float)
+        with np.errstate(divide="ignore", over="ignore", under="ignore",
+                         invalid="ignore"):
+            s = 1.0 - d / w
+            bump = np.exp(1.0 - 1.0 / (1.0 - s * s))
+        return np.where(d >= w, 1.0, np.where(d <= 0.0, 0.0, bump))
+
+    @pytest.mark.parametrize("w", [0.0, 5e-324, 1e-300, 0.5])
+    def test_matches_whole_array_formula_bitwise(self, w):
+        d = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, w,
+                      np.nextafter(w, -np.inf), 5e-324])
+        rng = np.random.default_rng(11)
+        band = rng.uniform(-0.2 * w, 1.2 * w, 997)
+        for values in (d, band, band.reshape(-1, 1)[::3], np.tile(d, (3, 2)).T):
+            assert np.array_equal(smooth_step(values, w),
+                                  self._whole_array(values, w), equal_nan=True)
+        for x in d:
+            got = smooth_step(x, w)
+            ref = self._whole_array(x, w)
+            assert type(got) is type(ref) and np.shape(got) == ()
+            assert np.array_equal(got, ref, equal_nan=True)
+
 
 class TestCutoffSpec:
     def test_full_data_is_one_on_outgoing(self):

@@ -1,6 +1,7 @@
 """Tomography tests: transforms, adjoints, symbol, SVD, smoothing, edges."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rte_tomo.geometry import (
     smooth_step,
     visible_mask,
 )
+from rte_tomo import tomography
 from rte_tomo.phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
 from rte_tomo.tomography import (
     attenuation_stack,
@@ -331,31 +333,71 @@ class TestPrincipalSymbol:
 class TestAttenuationStack:
     @staticmethod
     def _padded_reference(sigma, grid, angles, step):
-        """E on every pixel from sigma sampled at every padded lattice node."""
+        """E on every pixel from sigma sampled at every padded lattice node.
+
+        Each row holds the lattice clamped to the pixel's exit time tau, then
+        tau.  Returns E with G summed over each row's live prefix by the
+        reduction the stack uses, and E with G summed pairwise over the
+        whole padded row.
+        """
         p = grid.points_flat()
         inside = grid.disk_mask(GEOM.radius_outer).reshape(-1)
-        out = np.ones((len(angles), grid.n_pixels))
+        live_sum = np.ones((len(angles), grid.n_pixels))
+        padded_sum = np.ones((len(angles), grid.n_pixels))
         for a, ang in enumerate(angles):
             th = np.array([math.cos(ang), math.sin(ang)])
             _, tau = exit_points(GEOM, p[inside], th)
             n_full = int(math.floor(tau.max() / step + 1e-12))
             lattice = step * np.arange(n_full + 1)
+            m = np.searchsorted(lattice, tau)              # live cells per row
+            assert np.all(m > 0)
             nodes = np.concatenate(
                 [np.minimum(lattice[None, :], tau[:, None]), tau[:, None]], axis=1)
             sig = sigma.sample(p[inside][:, None, :] + nodes[..., None] * th, float(ang))
             delta = np.diff(nodes, axis=1)
-            G = np.sum(0.5 * delta * (sig[:, :-1] + sig[:, 1:]), axis=1)
-            out[a, inside] = np.exp(-G)
-        return out
+            terms = 0.5 * delta * (sig[:, :-1] + sig[:, 1:])
+            live = np.arange(terms.shape[1]) < m[:, None]
+            G = np.add.reduceat(terms[live], np.cumsum(m) - m)
+            live_sum[a, inside] = np.exp(-G)
+            padded_sum[a, inside] = np.exp(-np.sum(terms, axis=1))
+        return live_sum, padded_sum
 
     def test_matches_padded_lattice_bitwise(self):
-        grid = Grid(20, 18, 1.2)
-        sigma = AbsorptionField.gaussian(grid, GEOM, 0.7, center=(-0.1, 0.2), width=0.35)
         angles = TWO_PI * np.arange(12) / 12 + 0.1
-        got = attenuation_stack(sigma, GEOM, grid, angles)
-        ref = self._padded_reference(sigma, grid, angles, 0.5 * grid.hx)
-        assert np.array_equal(got, ref)
-        assert got.min() < 0.9
+        for shape in [(20, 18), (40, 40), (33, 17)]:
+            grid = Grid(*shape, 1.2)
+            sigma = AbsorptionField.gaussian(grid, GEOM, 0.7, center=(-0.1, 0.2),
+                                             width=0.35)
+            got = attenuation_stack(sigma, GEOM, grid, angles)
+            ref, padded = self._padded_reference(sigma, grid, angles, 0.5 * grid.hx)
+            assert np.array_equal(got, ref)
+            # Summing the padded rows pairwise rounds differently.
+            assert np.max(np.abs(got - padded) / padded) <= 1e-15
+            assert got.min() < 0.9
+
+    def test_block_size_leaves_the_stack_unchanged(self, monkeypatch):
+        grid = Grid(24, 20, 1.2)
+        sigma = AbsorptionField.cosine_anisotropic(grid, GEOM, 0.5, 0.3, order=2)
+        angles = TWO_PI * np.arange(7) / 7
+        whole = attenuation_stack(sigma, GEOM, grid, angles)
+        # 300 nodes hold a few rays; 7 is below one ray, so one ray a block.
+        for nodes in (300, 7):
+            monkeypatch.setattr(tomography, "STACK_BLOCK_NODES", nodes)
+            assert np.array_equal(attenuation_stack(sigma, GEOM, grid, angles), whole)
+
+    def test_one_direction_stays_within_a_block(self):
+        """256x256 pixels: a padded (pixels, lattice) float table would take
+        about 200 MiB; one block of STACK_BLOCK_NODES = 2**20 nodes peaks near
+        47 MiB."""
+        grid = Grid(256, 256, 1.2)
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.7, center=(-0.1, 0.2), width=0.35)
+        tracemalloc.start()
+        try:
+            attenuation_stack(sigma, GEOM, grid, [0.3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("n_xi", [8, 9])
     def test_symbol_field_sums_both_orientations(self, n_xi):
