@@ -3,9 +3,8 @@
 Values live at pixel centers; sampling decays linearly to zero within one
 cell beyond the outermost centers and is zero further out.  A point's patch
 is the cell of four pixel centers around it: its lower-left pixel and its
-fractions along x and y.  One helper finds the patches and tests which of
-their corners lie in the raster; every constructor below builds on it, with
-one corner formula.
+fractions along x and y.  One helper tests which corners of a patch lie in
+the raster and names their pixels; every constructor below builds on it.
 
 A gather is one CSR matrix, so sampling is ``matrix @ x`` and the exact
 adjoint scatter is ``matrix.T @ v``:
@@ -15,11 +14,13 @@ adjoint scatter is ``matrix.T @ v``:
 - ``block_diagonal(grid, blocks)`` samples each block of points from its own
   copy of the raster, one block after another, as one matrix; the transport
   march uses it to rotate every direction's raster in one product.
-- ``folded(grid, points, weights, counts)`` gathers one weighted sum per
-  group of consecutive points (the quadrature cells of one chord after
-  another).  Consecutive points of a group in one patch form a run; the
-  weighted corner weights of each run are summed before the rows are built,
-  so a row holds one entry per pixel, merged from its runs.
+- ``along_chords(grid, origins, direction, dist, weights, counts)`` gathers
+  one weighted sum per chord over the points ``origin + dist * direction``
+  (the quadrature cells of one chord after another), in pixel coordinates
+  taken straight from the distances.  Consecutive cells of a chord in one
+  patch form a run: the weighted corner weights of each run are summed,
+  and the corner tests and pixel indices are done once per run, so a row
+  holds one entry per pixel, merged from its runs.
 """
 
 from __future__ import annotations
@@ -33,29 +34,18 @@ import scipy.sparse as sp
 _CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
 
 
-def _patches(grid, points):
-    """Bilinear patches of (n, 2) points and the weights of their corners.
+def _corners(grid, iu, iv):
+    """Pixels of the corners of patches (iu, iv) and whether they lie in the raster.
 
-    Returns the lower-left pixel (iu, iv) of each point's patch, then for
-    each corner (dx, dy) in _CORNERS order its weight (fu or 1 - fu times
-    fv or 1 - fv, fu and fv the in-patch fractions) and whether it lies in
-    the raster.  Corner (dx, dy) is pixel (iv + dy) * nx + iu + dx.
+    iu and iv are integer lower-left pixel coordinates.  Returns two lists
+    in _CORNERS order: corner (dx, dy) is pixel (iv + dy) * nx + iu + dx,
+    and the flag of whether both its column and its row lie in the raster.
     """
-    u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
-    v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
-    iu = np.floor(u)
-    iv = np.floor(v)
-    fu = u - iu
-    fv = v - iv
-    iu = iu.astype(np.int64)
-    iv = iv.astype(np.int64)
-    wx = (1 - fu, fu)
-    wy = (1 - fv, fv)
     x_ok = ((iu >= 0) & (iu < grid.nx), (iu >= -1) & (iu < grid.nx - 1))
     y_ok = ((iv >= 0) & (iv < grid.ny), (iv >= -1) & (iv < grid.ny - 1))
-    weights = [wx[dx] * wy[dy] for dx, dy in _CORNERS]
+    pixels = [(iv + dy) * grid.nx + iu + dx for dx, dy in _CORNERS]
     inside = [x_ok[dx] & y_ok[dy] for dx, dy in _CORNERS]
-    return iu, iv, weights, inside
+    return pixels, inside
 
 
 @dataclass
@@ -68,12 +58,20 @@ class BilinearGather:
     def at_points(cls, grid, points):
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         n = len(points)
-        iu, iv, weights, inside = _patches(grid, points)
+        u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
+        v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
+        iu = np.floor(u)
+        iv = np.floor(v)
+        fu = u - iu
+        fv = v - iv
+        wx = (1 - fu, fu)
+        wy = (1 - fv, fv)
+        pixels, inside = _corners(grid, iu.astype(np.int64), iv.astype(np.int64))
         indices = np.empty((n, 4), dtype=np.int32)
         data = np.empty((n, 4))
         for k, (dx, dy) in enumerate(_CORNERS):
-            indices[:, k] = np.where(inside[k], (iv + dy) * grid.nx + iu + dx, 0)
-            data[:, k] = np.where(inside[k], weights[k], 0.0)
+            indices[:, k] = np.where(inside[k], pixels[k], 0)
+            data[:, k] = np.where(inside[k], wx[dx] * wy[dy], 0.0)
         indptr = 4 * np.arange(n + 1, dtype=np.int32)
         matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
                                shape=(n, grid.n_pixels))
@@ -105,40 +103,62 @@ class BilinearGather:
         return cls(matrix=matrix)
 
     @classmethod
-    def folded(cls, grid, points, weights, counts):
-        """Gather of weighted sums over consecutive groups of points.
+    def along_chords(cls, grid, origins, direction, dist, weights, counts):
+        """Gather of weighted sums of samples along chords.
 
-        weights has one entry per (n, 2) point; counts[g] >= 0 points make
-        up group g, groups following each other in point order.  Row g
-        samples sum_k weights[k] * (bilinear sample at point k) over the
-        points k of group g.  Consecutive points of a group in one patch
-        form a run: each run's weighted corner weights are summed first,
-        corners outside the raster are dropped, then repeated pixels of a
-        row are merged.
+        Chord c owns counts[c] >= 0 consecutive entries of dist and weights,
+        chords following each other.  Row c samples sum_k weights[k] *
+        (bilinear sample at origins[c] + dist[k] * direction) over the
+        entries k of chord c.  The pixel coordinates come straight from the
+        distances: u = (x_c + half_width) / hx - 1/2, repeated over the
+        chord, plus dist * direction_x / hx, and v likewise.  Consecutive
+        entries of a chord in one patch form a run: the weighted corner
+        weights of each run are summed, the corner tests and pixel indices
+        are done once per run, and repeated pixels of a row are merged.
         """
-        points = np.asarray(points, dtype=float).reshape(-1, 2)
+        origins = np.asarray(origins, dtype=float).reshape(-1, 2)
+        dist = np.asarray(dist, dtype=float).reshape(-1)
         weights = np.asarray(weights, dtype=float).reshape(-1)
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
-        n = len(points)
-        if len(weights) != n or np.any(counts < 0) or int(counts.sum()) != n:
-            raise ValueError("weights and counts do not cover the points")
-        iu, iv, corner_weights, inside = _patches(grid, points)
+        n = len(dist)
+        if (len(weights) != n or len(counts) != len(origins) or np.any(counts < 0)
+                or int(counts.sum()) != n):
+            raise ValueError("weights and counts do not cover the distances")
+        u = np.repeat((origins[:, 0] + grid.half_width) / grid.hx - 0.5, counts)
+        u += dist * (direction[0] / grid.hx)
+        v = np.repeat((origins[:, 1] + grid.half_width) / grid.hy - 0.5, counts)
+        v += dist * (direction[1] / grid.hy)
+        iu = np.floor(u)
+        iv = np.floor(v)
+        u -= iu
+        v -= iv
+        # A run starts where the patch changes or a chord starts.
+        ends = np.cumsum(counts)
         new_run = np.ones(n, dtype=bool)
-        new_run[1:] = (iu[1:] != iu[:-1]) | (iv[1:] != iv[:-1])
-        group_starts = np.cumsum(counts)[:-1]
-        new_run[group_starts[group_starts < n]] = True
-        starts = np.nonzero(new_run)[0]
-        corner = np.stack(corner_weights)
-        corner *= weights
+        np.not_equal(iu[1:], iu[:-1], out=new_run[1:])
+        new_run[1:] |= iv[1:] != iv[:-1]
+        new_run[ends[ends < n]] = True
+        starts = np.flatnonzero(new_run)
+        # Corner weights in _CORNERS order: a0 (1 - fv), a1 (1 - fv), a0 fv,
+        # a1 fv with a1 = w fu and a0 = w - a1.
+        corner = np.empty((4, n))
+        np.multiply(weights, u, out=corner[1])
+        np.subtract(weights, corner[1], out=corner[0])
+        np.multiply(corner[0], v, out=corner[2])
+        corner[0] -= corner[2]
+        np.multiply(corner[1], v, out=corner[3])
+        corner[1] -= corner[3]
         sums = np.add.reduceat(corner, starts, axis=1).T
-        iu, iv = iu[starts], iv[starts]
-        ok = np.stack([m[starts] for m in inside], axis=1)
-        cols = np.stack([(iv + dy) * grid.nx + iu + dx for dx, dy in _CORNERS], axis=1)
-        run_group = np.repeat(np.arange(len(counts)), counts)[starts]
+        pixels, inside = _corners(grid, iu[starts].astype(np.int64),
+                                  iv[starts].astype(np.int64))
+        ok = np.stack(inside, axis=1)
+        # Runs follow chord order: chord c's entries are those of the runs
+        # starting before ends[c].
+        nnz = np.zeros(len(starts) + 1, dtype=np.int64)
+        np.cumsum(ok.sum(axis=1), out=nnz[1:])
         indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(np.repeat(run_group, ok.sum(axis=1)), minlength=len(counts)),
-                  out=indptr[1:])
-        matrix = sp.csr_matrix((sums[ok], cols[ok], indptr),
+        indptr[1:] = nnz[np.searchsorted(starts, ends)]
+        matrix = sp.csr_matrix((sums[ok], np.stack(pixels, axis=1)[ok], indptr),
                                shape=(len(counts), grid.n_pixels))
         matrix.sum_duplicates()
         return cls(matrix=matrix)

@@ -170,7 +170,9 @@ class AbsorptionField(AngularField):
 
         def profile(points):
             pts = np.asarray(points, dtype=float)
-            d2 = (pts[..., 0] - cx) ** 2 + (pts[..., 1] - cy) ** 2
+            # A centre far off the grid squares to inf: the bump is exactly 0.
+            with np.errstate(over="ignore"):
+                d2 = (pts[..., 0] - cx) ** 2 + (pts[..., 1] - cy) ** 2
             return amplitude * np.exp(-d2 / w2) * ext(pts)
 
         raster = profile(grid.centers())

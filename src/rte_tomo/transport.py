@@ -20,14 +20,16 @@ by a transport solve remembers its source for this purpose.  Only the live
 cells of a chord, those before its entry point, enter the quadrature; one
 builder lays them out as flat ragged arrays, chord after chord, with an
 analytic source's jump-circle crossings merged into each chord's lattice.
-For raster sources the quadrature does not depend on the input, so each
-solver folds it, once and on first use, into one sparse exit-chord operator
-per direction (one row per outgoing chord, each run of cells in one bilinear
-patch summed into one entry per corner pixel); tracing is a product with it
-and the transpose trace is the product with its transpose.  Analytic
-phantoms are evaluated on their refined cells on every trace and summed
-chord by chord; a scattering source next to them goes through an operator
-folded from the same cells.
+A cell is named by its midpoint's distance back from the exit point.  For
+raster sources the quadrature does not depend on the input, so each solver
+folds it, once and on first use, into one sparse exit-chord operator per
+direction (one row per outgoing chord, each run of cells in one bilinear
+patch summed into one entry per corner pixel, the patches found in pixel
+coordinates taken straight from the distances); tracing is a product with
+it and the transpose trace is the product with its transpose.  Analytic
+phantoms are evaluated at the midpoints of their refined cells on every
+trace and summed chord by chord; a scattering source next to them goes
+through an operator folded from the same cells.
 
 The scattering fixed point is only iterated when the spectral radius of
 K T1^{-1} is certified below one.  For a kernel that is nonnegative on the
@@ -414,10 +416,11 @@ class TransportSolver:
         and its trapezoid integral G from the exit point is accumulated
         chord by chord; a cell weighs 0.5 * delta * (exp(-G) at its two
         ends).  Returns (outgoing indices, flat cell weights, cells per
-        chord, flat (n_cells, 2) midpoints), the cells listed chord after
-        chord.  Raster traces fold the cells without circles once, through
-        _trace_operators; analytic phantoms rebuild their refined cells on
-        every trace.
+        chord, flat midpoint distances back from the exit point), the cells
+        listed chord after chord; the midpoint of a cell of chord c is
+        bgrid.points[out_idx[c]] - dist * theta_q.  Raster traces fold the
+        cells without circles once, through _trace_operators; analytic
+        phantoms rebuild their refined cells on every trace.
         """
         bg = self.bgrid
         out_idx = np.nonzero(bg.outgoing[:, q])[0]
@@ -452,8 +455,7 @@ class TransportSolver:
             E = np.exp(-G)
             weights = (0.5 * delta * (E[:-1] + E[1:]))[cell]
         delta = delta[cell]
-        mids = ray_points(z, counts, nodes[:-1][cell] + 0.5 * delta, -th)
-        return out_idx, weights, counts, mids
+        return out_idx, weights, counts, nodes[:-1][cell] + 0.5 * delta
 
     @staticmethod
     def _jump_nodes(z, L, th, circles):
@@ -482,15 +484,18 @@ class TransportSolver:
 
         Row c of operator q sums the weighted bilinear samples of the live
         cells of chord c of direction q, so it maps a raster source (N, B)
-        to the chord quadratures (n_out, B).  BilinearGather.folded sums
-        each run of cells in one bilinear patch into one entry per corner
-        pixel before the rows are built.
+        to the chord quadratures (n_out, B).  BilinearGather.along_chords
+        finds each cell's patch from its distance back from the exit point
+        and sums each run of cells in one patch into one entry per corner
+        pixel.
         """
         if self._trace_ops is None:
             ops = []
             for q in range(self.n_theta):
-                out_idx, weights, counts, mids = self._chord_cells(q, [])
-                ops.append((out_idx, BilinearGather.folded(self.grid, mids, weights, counts)))
+                out_idx, weights, counts, dist = self._chord_cells(q, [])
+                op = BilinearGather.along_chords(self.grid, self.bgrid.points[out_idx],
+                                                 -self.theta_vecs[q], dist, weights, counts)
+                ops.append((out_idx, op))
             self._trace_ops = ops
         return self._trace_ops
 
@@ -500,10 +505,11 @@ class TransportSolver:
         scatter: (n_theta, N, B) raster source or None; f_part: (N, B)
         raster, an analytic phantom broadcast over directions, or None.
         Raster sources go through the cached per-direction operators.  An
-        analytic phantom is evaluated at the live cells refined at its jump
-        circles and summed chord by chord; a scattering source next to it
-        goes through an exit-chord operator folded from the same cells.
-        Returns boundary values (n_bdry, n_theta, B).
+        analytic phantom is evaluated at the midpoints of the live cells
+        refined at its jump circles and summed chord by chord; a scattering
+        source next to it goes through an exit-chord operator folded from
+        the distances of the same cells.  Returns boundary values
+        (n_bdry, n_theta, B).
         """
         analytic = f_part is not None and not isinstance(f_part, np.ndarray)
         B = scatter.shape[2] if scatter is not None else (
@@ -521,12 +527,14 @@ class TransportSolver:
             return out
         circles = _phantom_circles(f_part)
         for q in range(self.n_theta):
-            out_idx, weights, counts, mids = self._chord_cells(q, circles)
+            out_idx, weights, counts, dist = self._chord_cells(q, circles)
+            z, back = self.bgrid.points[out_idx], -self.theta_vecs[q]
+            mids = ray_points(z, counts, dist, back)
             vals = weights * np.asarray(f_part(mids), dtype=float).reshape(-1)
             # Every outgoing chord has at least one live cell.
             out[out_idx, q] = np.add.reduceat(vals, np.cumsum(counts) - counts)[:, None]
             if scatter is not None:
-                op = BilinearGather.folded(self.grid, mids, weights, counts)
+                op = BilinearGather.along_chords(self.grid, z, back, dist, weights, counts)
                 out[out_idx, q] += op.apply(scatter[q])
         return out
 
@@ -623,23 +631,32 @@ class TransportSolver:
         """Power-iteration estimate of rho(K T1^{-1}), not a bound.
 
         Runs POWER_STEPS steps on the square of (K T1^{-1}) from a seeded
-        random start and takes the square root of the final growth ratio,
-        or inf when the products overflow.  spent counts products already
-        used by an abandoned bracket.
+        random start.  Each of a step's two products y = K T1^{-1} x is
+        divided by its largest magnitude before its norm is taken, so no
+        norm overflows, and its growth ||y|| / ||x|| is kept.  With g1 and
+        g2 the growths of the last step, the estimate is sqrt(g1) * sqrt(g2),
+        the square root of the last growth of the square.  It is inf when a
+        product overflows.  spent counts products already used by an
+        abandoned bracket.
         """
         rng = np.random.default_rng(POWER_SEED)
         v = rng.standard_normal((self.n_theta, self.grid.n_pixels, 1))
-        v /= phase_norm(v, self.grid)
-        ratio = 0.0
-        for step in range(1, POWER_STEPS + 1):
-            w = self.k_apply(self.t1_apply(self.k_apply(self.t1_apply(v))))
-            n = float(phase_norm(w, self.grid)[0])
-            if n == 0.0:
-                return Certificate("power-iteration", spent + 2 * step, 0.0)
-            ratio = n
-            v = w / n
-        rho = math.sqrt(ratio) if math.isfinite(ratio) else math.inf
-        return Certificate("power-iteration", spent + 2 * POWER_STEPS, rho)
+        v /= np.max(np.abs(v))
+        norm_v = float(phase_norm(v, self.grid)[0])
+        growth = []
+        for step in range(1, 2 * POWER_STEPS + 1):
+            w = self.k_apply(self.t1_apply(v))
+            peak = float(np.max(np.abs(w)))
+            if peak == 0.0 or not math.isfinite(peak):
+                return Certificate("power-iteration", spent + step,
+                                   0.0 if peak == 0.0 else math.inf)
+            w /= peak
+            norm_w = float(phase_norm(w, self.grid)[0])
+            growth.append(peak * norm_w / norm_v)
+            v, norm_v = w, norm_w
+        rho = math.sqrt(growth[-2]) * math.sqrt(growth[-1])
+        return Certificate("power-iteration", spent + 2 * POWER_STEPS,
+                           rho if math.isfinite(rho) else math.inf)
 
     def _report(self, iterations, history, converged, cert=None):
         """SolveReport carrying a certificate, by default this solver's."""

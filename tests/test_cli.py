@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,36 @@ class TestExitCodes:
         assert values["converged"] == "False"
         assert float(values["spectral_radius_estimate"]) > 1.0
         assert any(ln.startswith("error = ") for ln in lines)
+
+    def test_huge_negative_kernel_gives_finite_estimate(self, tmp_path, capsys):
+        # Henyey-Greenstein at g = 0.9 is negative on the discrete grid, so
+        # the power-iteration fallback runs; each product is about 1e299
+        # times its input, so squaring one overflows, yet the estimate must
+        # stay finite.
+        text = ("geometry.R = 1.0\ngeometry.R1 = 1.2\ngrid.nx = 8\ngrid.ny = 8\n"
+                "grid.n_theta = 8\ngrid.n_bdry = 16\n"
+                "scattering.preset = henyey-greenstein\nscattering.g = 0.9\n"
+                "scattering.total = 1e299\n")
+        code, out_dir = launch(tmp_path, "forward", text)
+        assert code == 2
+        assert "refusing" in capsys.readouterr().err
+        _, values = read_report(out_dir)
+        assert values["certificate"] == "power-iteration"
+        assert 1.0 < float(values["spectral_radius_estimate"]) < math.inf
+
+    @pytest.mark.parametrize("command", ["symbol", "forward"])
+    def test_gaussian_centre_far_off_grid(self, tmp_path, command):
+        # (x - 1e300)**2 overflows; both bumps are exactly 0 on the grid.
+        text = ("geometry.R = 1.0\ngeometry.R1 = 1.2\ngrid.nx = 8\ngrid.ny = 8\n"
+                "grid.n_theta = 8\ngrid.n_bdry = 16\n"
+                "absorption.preset = gaussian\nabsorption.center_x = 1e300\n"
+                "source.preset = gaussian\nsource.center_x = 1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out_dir = launch(tmp_path, command, text)
+        assert code == 0
+        report = (out_dir / "report.txt").read_text()
+        assert not re.search(r"\b(?:nan|inf)\b", report)
 
     def test_run_command_rejects_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown command"):

@@ -14,6 +14,11 @@ certificate, its proven refusal and the power fallback of a
 Henyey-Greenstein kernel with a negative discrete entry.  It exits 0, 1 or
 2 without a traceback; a successful report has no non-finite number and a
 refusal names the spectral radius bound.
+
+measure runs on forward's documents plus a drawn cutoff, on grids of at
+most 12x12 pixels and 8 directions; its trace of the default disk source
+takes the analytic, jump-refined exit-chord path.  It exits 0, 1 or 2, and
+a successful report has no non-finite number.
 """
 
 import math
@@ -124,8 +129,14 @@ _trace_size = st.fixed_dictionaries({
 
 
 @st.composite
-def forward_documents(draw):
-    entries = {key: draw(_forward_count) for key in GRID_KEYS}
+def forward_documents(draw, sizes=None, cutoff=False):
+    """forward's documents; sizes draws the grid keys, cutoff adds a cutoff."""
+    if sizes is None:
+        entries = {key: draw(_forward_count) for key in GRID_KEYS}
+    else:
+        entries = draw(sizes)
+    if cutoff:
+        entries.update(draw(_cutoff))
     entries.update(draw(_others(1, skip=_FORWARD_KEYS)))
     entries.update(draw(_scattering))
     entries.update(draw(_trace_size))
@@ -191,6 +202,32 @@ def test_forward_survives_any_config(text):
         assert not math.isnan(float(values["spectral_radius_estimate"]))
         assert values["certificate"] in ("collatz-wielandt", "power-iteration")
         assert "nan" not in values.get("spectral_radius_lower", "")
+
+
+# measure grids: at most 12x12 pixels and 8 directions, mostly valid.
+_measure_side = st.sampled_from([str(n) for n in range(8, 13)] * 4 + ["7", "x"])
+_measure_sizes = st.fixed_dictionaries({
+    "grid.nx": _measure_side,
+    "grid.ny": _measure_side,
+    "grid.n_theta": st.sampled_from(["8"] * 10 + ["7", "x"]),
+})
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+# The analytic trace of the default disk source through a half-arc cutoff,
+# with and without a scattering source beside it.
+@example(_SMALL_FORWARD + "cutoff.preset = arcs\ncutoff.arcs = 0:3.14\n"
+         "scattering.preset = zero\n")
+@example(_SMALL_FORWARD + "cutoff.preset = arcs\ncutoff.arcs = 0:3.14\n"
+         "scattering.preset = isotropic\nscattering.total = 0.5\n")
+def test_measure_survives_any_config(text):
+    status, report = run_cli("measure", text)
+    event(f"exit {status}")
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert not NON_FINITE.search(_values(report))
 
 
 # Absorption keys for symbol: mostly a preset that absorbs, with any subset

@@ -40,6 +40,12 @@ def bumped_source(grid, geom, amplitude=1.0):
     return vals
 
 
+def cell_midpoints(solver, q, out_idx, counts, dist):
+    """(n_cells, 2) midpoints of direction q's cells from their exit distances."""
+    return transport.ray_points(solver.bgrid.points[out_idx], counts, dist,
+                                -solver.theta_vecs[q])
+
+
 class TestApplyJ:
     def test_zero_source(self):
         u = apply_J(np.zeros((GRID.ny, GRID.nx)), GRID, n_theta=8)
@@ -270,17 +276,26 @@ class TestSolveForward:
 def power_estimate(solver, steps, seed=0):
     """Power iteration on (K T1^{-1})^2 from a seeded normal start.
 
-    With 30 steps and seed 0 this is the certificate's fallback estimate,
-    step for step; longer runs serve as a reference value.
+    Each step is two products y = K T1^{-1} x, each divided by its largest
+    magnitude, and the estimate is sqrt(g1) * sqrt(g2) from the growths
+    ||y|| / ||x|| of the last step's products.  With 30 steps and seed 0
+    this is the certificate's fallback estimate, step for step; longer runs
+    serve as a reference value.
     """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((solver.n_theta, solver.grid.n_pixels, 1))
-    v /= phase_norm(v, solver.grid)
+    v /= np.max(np.abs(v))
+    norm_v = float(phase_norm(v, solver.grid)[0])
     for _ in range(steps):
-        w = solver.k_apply(solver.t1_apply(solver.k_apply(solver.t1_apply(v))))
-        n = float(phase_norm(w, solver.grid)[0])
-        v = w / n
-    return math.sqrt(n)
+        growth = []
+        for _ in range(2):
+            w = solver.k_apply(solver.t1_apply(v))
+            peak = float(np.max(np.abs(w)))
+            w /= peak
+            norm_w = float(phase_norm(w, solver.grid)[0])
+            growth.append(peak * norm_w / norm_v)
+            v, norm_v = w, norm_w
+    return math.sqrt(growth[0]) * math.sqrt(growth[1])
 
 
 def counting_t1(solver):
@@ -530,8 +545,8 @@ class TestAdjointPairs:
         f = rng.standard_normal((s.grid.n_pixels, 3))
         ref = np.zeros((s.bgrid.n_bdry, 8, 3))
         for q in range(8):
-            out_idx, weights, counts, mids = s._chord_cells(q, [])
-            gather = BilinearGather.at_points(s.grid, mids)
+            out_idx, weights, counts, dist = s._chord_cells(q, [])
+            gather = BilinearGather.at_points(s.grid, cell_midpoints(s, q, out_idx, counts, dist))
             vals = gather.apply(scatter[q]) + gather.apply(f)
             cells = weights[..., None] * vals
             np.add.at(ref[:, q], np.repeat(out_idx, counts), cells)
@@ -580,7 +595,8 @@ class TestAdjointPairs:
         every later cell has zero length and weight.  Returns the ragged
         (outgoing indices, weights, counts).
         """
-        out_idx, weights, counts, mids = s._chord_cells(q, circles)
+        out_idx, weights, counts, dist = s._chord_cells(q, circles)
+        mids = cell_midpoints(s, q, out_idx, counts, dist)
         ref_idx, ref_w, ref_mids = self._padded_cells(s, q, circles)
         np.testing.assert_array_equal(out_idx, ref_idx)
         live = np.arange(ref_w.shape[1]) < counts[:, None]
@@ -669,17 +685,23 @@ class TestAdjointPairs:
     def test_summed_folds_runs(self):
         grid = Grid(9, 7, 1.0)
         rng = np.random.default_rng(12)
-        base = rng.uniform(-1.3, 1.3, (40, 2))
-        reps = rng.integers(1, 5, len(base))
-        pts = np.repeat(base, reps, axis=0)
-        pts += 1e-3 * grid.hx * rng.standard_normal(pts.shape)
-        gather = BilinearGather.at_points(grid, pts)
-        n = len(pts)
-        counts = np.array([0, 7, 1, 0, 12] + [5] * ((n - 20) // 5))
-        counts = np.append(counts, n - counts.sum())
+        counts = np.array([0, 7, 1, 0, 12] + [9] * 14 + [0])
+        origins = rng.uniform(-1.3, 1.3, (len(counts), 2))
+        direction = np.array([math.cos(0.7), math.sin(0.7)])
+        # Steps of at most half a pixel, some zero, so cells share patches
+        # in runs; the chords cross the raster edge and leave it.
+        steps = np.where(rng.uniform(size=counts.sum()) < 0.2, 0.0,
+                         rng.uniform(0.0, 0.5 * grid.hx, counts.sum()))
+        dist = np.concatenate([np.cumsum(part) for part in
+                               np.split(steps, np.cumsum(counts)[:-1])])
+        n = len(dist)
         weights = rng.uniform(0.1, 2.0, n)
-        folded = BilinearGather.folded(grid, pts, weights, counts)
+        folded = BilinearGather.along_chords(grid, origins, direction, dist, weights, counts)
         assert folded.matrix.shape == (len(counts), grid.n_pixels)
+        assert folded.matrix.has_canonical_format
+        pts = np.repeat(origins, counts, axis=0) + dist[:, None] * direction
+        assert np.any(np.abs(pts) > grid.half_width + grid.hx)
+        gather = BilinearGather.at_points(grid, pts)
         dense = gather.matrix.toarray() * weights[:, None]
         group = np.repeat(np.arange(len(counts)), counts)
         ref = np.zeros((len(counts), grid.n_pixels))
@@ -695,23 +717,96 @@ class TestAdjointPairs:
             assert lhs == pytest.approx(rhs, rel=1e-12)
         for bad in (counts[:-1], np.append(counts, 1), counts + 1):
             with pytest.raises(ValueError, match="do not cover"):
-                BilinearGather.folded(grid, pts, weights, bad)
+                BilinearGather.along_chords(grid, origins, direction, dist, weights, bad)
         with pytest.raises(ValueError, match="do not cover"):
-            BilinearGather.folded(grid, pts, weights[:-1], counts)
+            BilinearGather.along_chords(grid, origins, direction, dist, weights[:-1],
+                                        counts)
+
+    @staticmethod
+    def _cell_reference(s, scatter, phantom=None):
+        """Trace summed cell by cell from at_points samples at the midpoints."""
+        circles = phantom.jump_circles() if phantom is not None else []
+        ref = np.zeros((s.bgrid.n_bdry, s.n_theta, scatter.shape[2]))
+        for q in range(s.n_theta):
+            out_idx, weights, counts, dist = s._chord_cells(q, circles)
+            mids = cell_midpoints(s, q, out_idx, counts, dist)
+            vals = BilinearGather.at_points(s.grid, mids).apply(scatter[q])
+            if phantom is not None:
+                vals = vals + phantom(mids)[:, None]
+            np.add.at(ref[:, q], np.repeat(out_idx, counts), weights[:, None] * vals)
+        return ref
+
+    # (grid, h_ray) per case: hx != hy; a raster ending inside the outer
+    # disk, so patches straddle its edge and cells lie more than one pixel
+    # beyond it; a ray step longer than the shortest chords.
+    FOLD_CASES = {
+        "non-square": (Grid(13, 7, 1.0), None),
+        "raster-edge": (Grid(10, 10, 0.7), None),
+        "short-chord": (Grid(20, 20, 1.0), 0.6),
+    }
+
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_fold_matches_cell_quadrature(self, case):
+        grid, h_ray = self.FOLD_CASES[case]
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.5, width=0.4)
+        s = TransportSolver(geom=GEOM, grid=grid, sigma=sigma, n_theta=8,
+                            n_bdry=24, h_ray=h_ray)
+        if case == "non-square":
+            assert grid.hx != grid.hy
+        if case == "raster-edge":
+            out_idx, _, counts, dist = s._chord_cells(1, [])
+            mids = cell_midpoints(s, 1, out_idx, counts, dist)
+            assert np.any(np.abs(mids) > grid.half_width + grid.hx)
+            assert np.any((np.abs(mids) > grid.xs[-1]).any(axis=1)
+                          & (np.abs(mids) < grid.half_width).all(axis=1))
+        if case == "short-chord":
+            L = 2.0 * GEOM.radius_outer * s.bgrid.normal_dot[s.bgrid.outgoing]
+            assert np.any(L < s.h_ray)
+        rng = np.random.default_rng(13)
+        scatter = rng.standard_normal((8, grid.n_pixels, 2))
+        ref = self._cell_reference(s, scatter)
+        got = s.trace_phase(scatter, None)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        cot = rng.standard_normal((s.bgrid.n_bdry, 8, 2))
+        lhs = float(np.sum(got * cot))
+        rhs = float(np.sum(scatter * s.trace_transpose(cot)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_fold_with_jump_on_lattice_node(self):
+        s = self._solver()
+        # The x axis crosses this circle at 0.25 and 0.75 back from (1, 0),
+        # lattice nodes of h_ray = 1/256, so chord 0 of direction 0 gets two
+        # zero-length cells.
+        phantom = DiskPhantom(center=(0.5, 0.0), radius=0.25, value=1.3)
+        out_idx, weights, counts, dist = s._chord_cells(0, phantom.jump_circles())
+        assert out_idx[0] == 0 and np.sum(weights[:counts[0]] == 0.0) == 2
+        rng = np.random.default_rng(14)
+        scatter = rng.standard_normal((8, s.grid.n_pixels, 1))
+        ref = self._cell_reference(s, scatter, phantom)
+        got = s.trace_phase(scatter, phantom)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        op = BilinearGather.along_chords(s.grid, s.bgrid.points[out_idx], -s.theta_vecs[0],
+                                         dist, weights, counts)
+        x = rng.standard_normal(s.grid.n_pixels)
+        v = rng.standard_normal(len(out_idx))
+        lhs = float(np.sum(op.apply(x) * v))
+        rhs = float(np.sum(x * op.apply_transpose(v)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_trace_operators_are_built_once(self, monkeypatch):
         s = self._solver()
         builds = []
-        folded = BilinearGather.folded.__func__
+        along_chords = BilinearGather.along_chords.__func__
 
-        def counted(cls, grid, points, weights, counts):
+        def counted(cls, grid, origins, direction, dist, weights, counts):
             builds.append(len(counts))
-            return folded(cls, grid, points, weights, counts)
+            return along_chords(cls, grid, origins, direction, dist, weights, counts)
 
-        monkeypatch.setattr(BilinearGather, "folded", classmethod(counted))
+        monkeypatch.setattr(BilinearGather, "along_chords", classmethod(counted))
         rng = np.random.default_rng(8)
         f = rng.standard_normal((s.grid.n_pixels, 2))
         first = s.trace_phase(None, f)
+        assert len(builds) == s.n_theta
         np.testing.assert_array_equal(s.trace_phase(None, f), first)
         s.trace_transpose(rng.standard_normal((s.bgrid.n_bdry, 8, 2)))
         assert len(builds) == s.n_theta
