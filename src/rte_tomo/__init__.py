@@ -68,11 +68,6 @@ from .transport import (
     SolveReport,
     TransportSolver,
     apply_J,
-    apply_K,
-    apply_T1_inverse,
-    measure_XV,
-    solve_forward,
-    trace_plus,
 )
 from .tomography import (
     EdgeReport,

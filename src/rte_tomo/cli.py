@@ -446,12 +446,12 @@ def _h_ray(cfg):
     return cfg.solver_h_ray if cfg.solver_h_ray > 0.0 else None
 
 
-def _make_solver(cfg, sigma=None, kernel=None):
+def _make_solver(cfg):
     geom = build_geometry(cfg)
     grid = build_grid(cfg)
-    sigma = sigma if sigma is not None else build_absorption(cfg, grid, geom)
-    kernel = kernel if kernel is not None else build_scattering(cfg, grid, geom)
-    return TransportSolver(geom=geom, grid=grid, sigma=sigma, kernel=kernel,
+    return TransportSolver(geom=geom, grid=grid,
+                           sigma=build_absorption(cfg, grid, geom),
+                           kernel=build_scattering(cfg, grid, geom),
                            n_theta=cfg.n_theta, n_bdry=cfg.n_bdry,
                            h_ray=_h_ray(cfg), tol=cfg.solver_tol,
                            max_iter=cfg.solver_max_iter)
@@ -561,8 +561,7 @@ def _cmd_normal(cfg, rep):
     solver = _make_solver(cfg)
     raster, _ = build_source(cfg, solver.grid, solver.geom)
     spec = build_cutoff(cfg)
-    image = normal_operator_full(spec, solver.sigma, solver.kernel, solver.geom,
-                                 raster, solver=solver)
+    image = normal_operator_full(solver, spec, raster)
     remainder = _raster_norm(image.scattering_remainder, solver.grid)
     rep.value("normal_image_norm", _raster_norm(image.values, solver.grid))
     rep.line(f"L_V remainder norm = {formats.fmt(remainder)}")
@@ -608,10 +607,7 @@ def _cmd_svd(cfg, rep):
     solver = _make_solver(cfg)
     spec = build_cutoff(cfg)
     mask = visible_mask(spec, solver.geom, solver.grid, n_theta=cfg.n_theta)
-    sv, si, op_vis = svd_injectivity(spec, solver.sigma, solver.kernel,
-                                     solver.geom, mask, n_bdry=cfg.n_bdry,
-                                     n_theta=cfg.n_theta, solver=solver,
-                                     return_operator=True)
+    sv, si, op_vis = svd_injectivity(solver, spec, mask)
     rep.value("sigma_min_visible", sv)
     rep.value("sigma_min_invisible", si)
     rep.value("ratio", sv / max(si, 1e-14))
@@ -632,9 +628,14 @@ def _cmd_wavefront(cfg, rep):
     if phantom is None:
         raise ConfigError("wavefront requires a piecewise-constant source preset")
     spec = build_cutoff(cfg)
-    image, edges = wavefront_image(spec, solver.sigma, solver.kernel,
-                                   solver.geom, phantom,
-                                   n_edge=cfg.wavefront_n_edge, solver=solver)
+    image, edges = wavefront_image(solver, spec, phantom,
+                                   n_edge=cfg.wavefront_n_edge)
+    if not math.isfinite(edges.response_ratio):
+        raise ConfigError(
+            f"'cutoff.arcs' and 'cutoff.cones' leave {int(edges.visible.sum())} of "
+            f"{len(edges.strengths)} source edges microvisible, with a median "
+            f"response of 0 while a shadowed edge responds, so the response ratio "
+            f"is undefined (widen cutoff.arcs or cutoff.cones)")
     rep.value("edges_total", len(edges.strengths))
     rep.value("edges_visible", int(edges.visible.sum()))
     rep.value("median_visible_strength", edges.median_visible)
@@ -656,8 +657,7 @@ def _cmd_smoothing(cfg, rep):
     noise = rng.standard_normal((grid.ny, grid.nx))
     noise *= grid.disk_mask(geom.radius_inner)
     rough = apply_J(noise, grid, n_theta=cfg.n_theta)
-    before, after = smoothing_diagnostic(solver.sigma, solver.kernel, geom,
-                                         rough, solver=solver)
+    before, after = smoothing_diagnostic(solver, rough)
     rep.value("high_freq_fraction_before", before)
     rep.value("high_freq_fraction_after", after)
     if not solver.kernel.is_zero:

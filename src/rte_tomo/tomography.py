@@ -32,8 +32,7 @@ from .geometry import (
     uniform_angles,
     unit_vector,
 )
-from .transport import (BoundaryData, TransportSolver, phase_norm, ray_nodes,
-                        ray_points)
+from .transport import BoundaryData, ray_nodes, ray_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,17 +48,6 @@ EDGE_WINDOW = 3
 # Lattice nodes laid out at once by attenuation_stack.  A block peaks near
 # 45 bytes a node (tracemalloc, Gaussian absorption), about 47 MiB.
 STACK_BLOCK_NODES = 2**20
-
-
-def _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry, h_ray,
-                 tol, max_iter, solver):
-    if solver is not None:
-        return solver
-    if grid is None:
-        grid = sigma.grid
-    return TransportSolver(geom=geom, grid=grid, sigma=sigma, kernel=kernel,
-                           n_theta=n_theta, n_bdry=n_bdry, h_ray=h_ray,
-                           tol=tol, max_iter=max_iter)
 
 
 def _dense_fits(solver):
@@ -150,16 +138,14 @@ def cutoff_stack(spec, geom, grid, angles):
 # ---------------------------------------------------------------------------
 
 
-def ray_transform(spec, sigma, geom, f, grid=None, n_theta=64, n_bdry=256,
-                  h_ray=None, solver=None, phantom=None):
+def ray_transform(solver, spec, f=None, phantom=None):
     """Attenuated ray transform cut to the visible boundary set.
 
-    ``f`` is a source raster over the inner disk; analytic phantoms go in
-    through ``phantom`` and are integrated with quadrature cells split at
-    their jump circles.
+    The solver's absorption attenuates; its kernel plays no part.  ``f`` is
+    a source raster over the inner disk; analytic phantoms go in through
+    ``phantom`` and are integrated with quadrature cells split at their
+    jump circles.
     """
-    solver = _make_solver(sigma, None, geom, grid, n_theta, n_bdry,
-                          h_ray, 1e-10, 200, solver)
     if phantom is not None:
         values = solver.trace_phase(None, phantom)[..., 0]
     else:
@@ -465,17 +451,15 @@ def _gradient_magnitude(raster, grid):
     return np.hypot(gx, gy)
 
 
-def normal_operator_full(spec, sigma, kernel, geom, f, grid=None, n_theta=64,
-                         n_bdry=256, h_ray=None, tol=1e-10, max_iter=200,
-                         method="auto", solver=None):
+def normal_operator_full(solver, spec, f, method="auto"):
     """X*X f with its ballistic part and scattering remainder.
 
     The adjoint is the weighted transpose of the assembled matrix on small
     grids, or the transposed source iteration at matched series length on
     large ones; the two agree to roundoff by construction.
     """
-    solver = _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry,
-                          h_ray, tol, max_iter, solver)
+    if method not in ("auto", "matrix", "iterative"):
+        raise ValueError("method must be 'auto', 'matrix', or 'iterative'")
     grid = solver.grid
     f_flat = solver._f_flat(f, None)[:, 0]
     omega = solver._omega_flat
@@ -493,7 +477,7 @@ def normal_operator_full(spec, sigma, kernel, geom, f, grid=None, n_theta=64,
             op0 = assemble_xv_matrix(solver, spec, n_terms=0)
             ball = np.zeros(grid.n_pixels)
             ball[cols] = op0.apply_adjoint(op0.apply(f_flat[cols]))
-    elif method == "iterative":
+    else:
         area = grid.pixel_area
         meas = solver.bgrid.measure[..., None]
         b = solver.xv_apply(f_flat[:, None], spec, m)
@@ -505,8 +489,6 @@ def normal_operator_full(spec, sigma, kernel, geom, f, grid=None, n_theta=64,
             b0 = solver.xv_apply(f_flat[:, None], spec, 0)
             ball = solver.xv_transpose(meas * b0, spec, 0)[:, 0] / area
             ball *= omega
-    else:
-        raise ValueError("method must be 'auto', 'matrix', or 'iterative'")
     values = full.reshape(grid.ny, grid.nx)
     ballistic = ball.reshape(grid.ny, grid.nx)
     return WavefrontImage(
@@ -518,22 +500,25 @@ def normal_operator_full(spec, sigma, kernel, geom, f, grid=None, n_theta=64,
     )
 
 
-def point_source_pairing(spec, sigma, kernel, geom, f, z, grid=None,
-                         n_theta=64, n_bdry=256, h_ray=None, tol=1e-10,
-                         max_iter=200, solver=None):
+def point_source_pairing(solver, spec, f, z):
     """Boundary inner product of the measurements of f and a pixel delta.
 
-    The delta at pixel z carries weight 1/pixel-area, so the pairing equals
-    the normal-operator image at z up to floating-point accumulation order.
+    z is a pixel (iy, ix) or a flat pixel index.  The delta at pixel z
+    carries weight 1/pixel-area, so the pairing equals the normal-operator
+    image at z up to floating-point accumulation order.
     """
-    solver = _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry,
-                          h_ray, tol, max_iter, solver)
     grid = solver.grid
     if np.ndim(z) == 1 or isinstance(z, tuple):
-        iy, ix = z
-        zf = int(iy) * grid.nx + int(ix)
+        iy, ix = (int(i) for i in z)
+        if not (0 <= iy < grid.ny and 0 <= ix < grid.nx):
+            raise ValueError(f"pixel z = ({iy}, {ix}) lies outside the "
+                             f"{grid.ny}x{grid.nx} grid")
+        zf = iy * grid.nx + ix
     else:
         zf = int(z)
+        if not 0 <= zf < grid.n_pixels:
+            raise ValueError(f"flat pixel index z = {zf} lies outside "
+                             f"[0, {grid.n_pixels})")
     if not solver._omega_flat[zf]:
         raise ValueError("z must be a pixel of the source disk")
     m = series_length(solver)
@@ -550,24 +535,24 @@ def point_source_pairing(spec, sigma, kernel, geom, f, z, grid=None,
 # ---------------------------------------------------------------------------
 
 
-def svd_injectivity(spec, sigma, kernel, geom, support_mask, n_bdry=256,
-                    h_ray=None, tol=1e-10, max_iter=200, n_theta=16,
-                    solver=None, return_operator=False):
+def svd_injectivity(solver, spec, support_mask):
     """Smallest singular values on visible and shadowed pixel supports.
 
     The visible support is the given mask eroded by two pixels (compact
     containment); the shadowed support is the eroded complement of the mask
     inside the source disk, the pixels carrying singularities the cutoff
     cannot see.  An empty shadowed set maps to 0 since the restricted
-    operator has no columns to be small on.
+    operator has no columns to be small on.  Returns (smallest visible
+    singular value, smallest shadowed one, the visible-support
+    OperatorMatrix).
     """
-    solver = _make_solver(sigma, kernel, geom, support_mask.grid, n_theta,
-                          n_bdry, h_ray, tol, max_iter, solver)
     if not _dense_fits(solver):
         raise ValueError(
             f"dense SVD requires at most {DENSE_MAX_PIXELS} pixels and "
             f"{DENSE_MAX_THETA} angles")
     grid = solver.grid
+    if support_mask.grid != grid:
+        raise ValueError("support mask grid does not match the solver grid")
     m = series_length(solver)
     omega = solver._omega_flat.reshape(grid.ny, grid.nx)
     eroded = ndimage.binary_erosion(support_mask.visible, iterations=2) & omega
@@ -583,9 +568,7 @@ def svd_injectivity(spec, sigma, kernel, geom, support_mask, n_bdry=256,
     else:
         op_inv = assemble_xv_matrix(solver, spec, col_pixels=inv_cols, n_terms=m)
         sigma_min_invisible = float(op_inv.singular_values()[-1])
-    if return_operator:
-        return sigma_min_visible, sigma_min_invisible, op_vis
-    return sigma_min_visible, sigma_min_invisible
+    return sigma_min_visible, sigma_min_invisible, op_vis
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +577,18 @@ def svd_injectivity(spec, sigma, kernel, geom, support_mask, n_bdry=256,
 
 
 def high_frequency_fraction(values, grid):
-    """Energy fraction above half-Nyquist, per-direction 2D Fourier shells."""
+    """Energy fraction above half-Nyquist, per-direction 2D Fourier shells.
+
+    The fraction does not depend on the scale of the values, so they are
+    first scaled by the power of two that brings their peak magnitude into
+    [0.5, 1).  The power spectrum then cannot overflow, and the scaling is
+    exact, so the fraction keeps its bits unless an entry is subnormal.
+    """
     values = np.asarray(values, dtype=float)
     if values.ndim == 2:
         values = values[None]
+    if values.size:
+        values = np.ldexp(values, -math.frexp(float(np.max(np.abs(values))))[1])
     kx = TWO_PI * np.fft.fftfreq(grid.nx, d=grid.hx)
     ky = TWO_PI * np.fft.fftfreq(grid.ny, d=grid.hy)
     kmag = np.hypot(kx[None, :], ky[:, None])
@@ -614,21 +605,19 @@ def high_frequency_fraction(values, grid):
     return high / total
 
 
-def smoothing_diagnostic(sigma, kernel, geom, f_rough, n_bdry=8, solver=None):
-    """High-frequency energy fraction before and after one K T1^{-1} pass."""
+def smoothing_diagnostic(solver, f_rough):
+    """High-frequency energy fraction before and after one K T1^{-1} pass.
+
+    f_rough is a PhaseSpaceField on the solver's pixel and direction grids.
+    """
     grid = f_rough.grid
-    solver = _make_solver(sigma, kernel, geom, grid, f_rough.n_theta, n_bdry,
-                          None, 1e-10, 200, solver)
+    if grid != solver.grid or f_rough.n_theta != solver.n_theta:
+        raise ValueError("f_rough does not lie on the solver's pixel and "
+                         "direction grids")
     before = high_frequency_fraction(f_rough.values, grid)
     v = f_rough.values.reshape(f_rough.n_theta, -1, 1)
     smoothed = solver.k_apply(solver.t1_apply(v))
-    if float(np.max(np.abs(smoothed))) == 0.0:
-        after = 0.0
-    else:
-        after = high_frequency_fraction(
-            smoothed[..., 0].reshape(f_rough.values.shape), grid)
-    if float(np.max(np.abs(f_rough.values))) == 0.0:
-        return 0.0, 0.0
+    after = high_frequency_fraction(smoothed[..., 0].reshape(f_rough.values.shape), grid)
     return before, after
 
 
@@ -703,9 +692,7 @@ def edge_strengths(values, grid, points, normals, jumps):
     return np.abs(acc / len(shifts)) / np.where(jumps > 0.0, jumps, 1.0)
 
 
-def wavefront_image(spec, sigma, kernel, geom, phantom, grid=None, n_theta=64,
-                    n_bdry=256, h_ray=None, tol=1e-10, max_iter=200,
-                    n_edge=96, solver=None):
+def wavefront_image(solver, spec, phantom, n_edge=96):
     """Normal-operator image of a phantom plus its edge-response report.
 
     Edge strength at a labeled point (z, xi) is the trend-cancelling
@@ -715,11 +702,9 @@ def wavefront_image(spec, sigma, kernel, geom, phantom, grid=None, n_theta=64,
     """
     from .phantoms import rasterize
 
-    solver = _make_solver(sigma, kernel, geom, grid, n_theta, n_bdry,
-                          h_ray, tol, max_iter, solver)
-    grid = solver.grid
+    grid, geom = solver.grid, solver.geom
     f = rasterize(phantom, grid, geom)
-    image = normal_operator_full(spec, sigma, kernel, geom, f, solver=solver)
+    image = normal_operator_full(solver, spec, f)
     pts, normals, jumps = phantom.edge_points(n_edge)
     strengths = edge_strengths(image.values, grid, pts, normals, jumps)
     report = EdgeReport(points=pts, normals=normals, jumps=jumps,

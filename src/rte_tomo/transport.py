@@ -3,7 +3,9 @@
 The stationary problem is theta . grad u + sigma u - K u = J f in the outer
 disk with zero inflow, where J broadcasts a source over directions and K
 integrates against a scattering kernel.  Everything is discretized on a
-pixel raster times a uniform direction grid.
+pixel raster times a uniform direction grid.  A TransportSolver holds the
+coefficients, the grids and every table built from them; all transport and
+measurement operators are its methods.
 
 The free-streaming inverse is a product-trapezoid march along rotated
 coordinate frames.  All directions march together: each solver stacks the
@@ -172,9 +174,9 @@ class PhaseSpaceField:
     """Field u(x, theta) on raster pixels times the direction grid.
 
     ``source_f`` and ``source_scatter`` record, when known, the transport
-    source whose free-streaming integral produced this field; boundary
-    traces reuse them for an exit-chord quadrature instead of extrapolating
-    raster values.
+    source whose free-streaming integral produced this field.
+    TransportSolver.trace_field re-integrates that source along the exit
+    chords, so it traces only fields that record one.
     """
 
     grid: object
@@ -204,6 +206,19 @@ def phase_norm(values, grid):
     n_theta = values.shape[0]
     w = TWO_PI / n_theta * grid.pixel_area
     return np.sqrt(w * np.sum(values**2, axis=tuple(range(values.ndim - 1))))
+
+
+def apply_J(f, grid, n_theta=64, geom=None):
+    """Broadcast a pixel source raster over the direction grid."""
+    raster = np.asarray(f, dtype=float)
+    if raster.shape != (grid.ny, grid.nx):
+        raise ValueError("source raster shape does not match the grid")
+    if geom is not None:
+        outside = raster[~grid.disk_mask(geom.radius_inner)]
+        if np.any(outside != 0.0):
+            raise ValueError("source must vanish outside the inner disk")
+    return PhaseSpaceField(grid=grid, theta_angles=uniform_angles(n_theta),
+                           values=np.broadcast_to(raster, (n_theta,) + raster.shape).copy())
 
 
 def _phantom_circles(phantom):
@@ -756,8 +771,12 @@ class TransportSolver:
         """Outgoing boundary trace of a field from its recorded source.
 
         The raster or phantom in ``field.source_f`` and the scattering
-        source in ``field.source_scatter`` go through trace_phase.
+        source in ``field.source_scatter`` go through trace_phase.  A field
+        that records neither, such as one built by hand, is refused.
         """
+        if field.source_f is None and field.source_scatter is None:
+            raise ValueError("field carries no transport source to trace; trace "
+                             "a field returned by TransportSolver.solve")
         scatter = None
         if field.source_scatter is not None:
             scatter = field.source_scatter[..., None]
@@ -825,103 +844,3 @@ class TransportSolver:
             y = self.t1_transpose(self.k_transpose(y))
             acc += y
         return self.j_transpose(acc)
-
-
-# ---------------------------------------------------------------------------
-# free-function interface
-# ---------------------------------------------------------------------------
-
-
-def apply_J(f, grid, n_theta=64, geom=None):
-    """Broadcast a pixel source raster over the direction grid."""
-    raster = np.asarray(f, dtype=float)
-    if raster.shape != (grid.ny, grid.nx):
-        raise ValueError("source raster shape does not match the grid")
-    if geom is not None:
-        outside = raster[~grid.disk_mask(geom.radius_inner)]
-        if np.any(outside != 0.0):
-            raise ValueError("source must vanish outside the inner disk")
-    return PhaseSpaceField(grid=grid, theta_angles=uniform_angles(n_theta),
-                           values=np.broadcast_to(raster, (n_theta,) + raster.shape).copy())
-
-
-def apply_K(kernel, u):
-    """Angular scattering integral applied slice by slice."""
-    solver = TransportSolver(geom=_grid_geom(u.grid), grid=u.grid,
-                             kernel=kernel, n_theta=u.n_theta, n_bdry=8)
-    vals = solver.k_apply(u.values.reshape(u.n_theta, -1, 1))
-    return PhaseSpaceField(grid=u.grid, theta_angles=u.theta_angles,
-                           values=vals[..., 0].reshape(u.values.shape))
-
-
-def _grid_geom(grid):
-    from .geometry import DiskGeometry
-    return DiskGeometry(radius_inner=0.5 * grid.half_width,
-                        radius_outer=grid.half_width)
-
-
-def apply_T1_inverse(sigma, geom, g, h_ray=None):
-    """Free-streaming inverse of a phase-space source field."""
-    solver = TransportSolver(geom=geom, grid=g.grid, sigma=sigma,
-                             n_theta=g.n_theta, n_bdry=8, h_ray=h_ray)
-    vals = solver.t1_apply(g.values.reshape(g.n_theta, -1, 1))
-    return PhaseSpaceField(grid=g.grid, theta_angles=g.theta_angles,
-                           values=vals[..., 0].reshape(g.values.shape),
-                           source_scatter=g.values.reshape(g.n_theta, -1))
-
-
-def solve_forward(sigma, kernel, geom, f, grid=None, n_theta=64, n_bdry=256,
-                  h_ray=None, tol=1e-10, max_iter=200, phantom=None):
-    """Solve the transport problem for a source raster or analytic phantom."""
-    if grid is None:
-        grid = sigma.grid
-    solver = TransportSolver(geom=geom, grid=grid, sigma=sigma, kernel=kernel,
-                             n_theta=n_theta, n_bdry=n_bdry, h_ray=h_ray,
-                             tol=tol, max_iter=max_iter)
-    return solver.solve(f=f, phantom=phantom)
-
-
-def trace_plus(u, geom, n_bdry=256, h_ray=None, sigma=None):
-    """Outgoing boundary trace of a phase-space field.
-
-    Fields carrying their transport source are traced by re-integrating the
-    source along each exit chord, which lands exactly on the boundary.  Bare
-    fields fall back to sampling one march step inside the boundary and
-    attenuating over the remaining step.
-    """
-    if sigma is None:
-        sigma = AbsorptionField.zero(u.grid)
-    solver = TransportSolver(geom=geom, grid=u.grid, sigma=sigma,
-                             n_theta=u.n_theta, n_bdry=n_bdry, h_ray=h_ray)
-    if u.source_f is not None or u.source_scatter is not None:
-        return solver.trace_field(u)
-    bg = solver.bgrid
-    from ._interp import bilinear_sample
-    from .coefficients import ray_absorption
-    step = u.grid.hx
-    values = np.zeros((bg.n_bdry, u.n_theta))
-    for q in range(u.n_theta):
-        th = solver.theta_vecs[q]
-        out_idx = np.nonzero(bg.outgoing[:, q])[0]
-        pts = bg.points[out_idx] - step * th
-        samples = bilinear_sample(u.grid, u.values[q], pts)
-        if not sigma.is_zero:
-            att = np.array([
-                math.exp(-float(ray_absorption(sigma, geom, p, th, [step],
-                                               solver.h_ray)[0]))
-                for p in pts])
-            samples = samples * att
-        values[out_idx, q] = samples
-    return BoundaryData(bgrid=bg, values=values)
-
-
-def measure_XV(spec, sigma, kernel, geom, f, grid=None, n_theta=64, n_bdry=256,
-               h_ray=None, tol=1e-10, max_iter=200, phantom=None):
-    """Partial-data measurement: cutoff times the outgoing trace of the solve."""
-    if grid is None:
-        grid = sigma.grid
-    solver = TransportSolver(geom=geom, grid=grid, sigma=sigma, kernel=kernel,
-                             n_theta=n_theta, n_bdry=n_bdry, h_ray=h_ray,
-                             tol=tol, max_iter=max_iter)
-    bd, _ = solver.measurement(spec, f=f, phantom=phantom)
-    return bd

@@ -103,7 +103,7 @@ def test_criterion_01_adjoint_identity():
     for _ in range(10):
         f = band_limited_source(grid, GEOM, rng, tapered=True)
         h = boundary_harmonics(solver0.bgrid, rng, max_order=2)
-        fwd = rt.ray_transform(spec_soft, sigma, GEOM, f, solver=solver0)
+        fwd = rt.ray_transform(solver0, spec_soft, f)
         hb = BoundaryData(bgrid=solver0.bgrid, values=h)
         back = rt.adjoint_ray_transform(spec_soft, sigma, GEOM, hb, grid=grid,
                                         step=grid.hx / 4)
@@ -126,10 +126,10 @@ def test_criterion_02_ballistic_measurement_consistency():
     rng = np.random.default_rng(2)
     f = band_limited_source(grid, GEOM, rng, tapered=False)
 
-    measured = rt.measure_XV(spec, sigma, rt.ScatteringKernel.zero(grid),
-                             GEOM, f, grid=grid, n_theta=16, n_bdry=64)
-    direct = rt.ray_transform(spec, sigma, GEOM, f, grid=grid,
-                              n_theta=16, n_bdry=64)
+    solver = TransportSolver(GEOM, grid, sigma, rt.ScatteringKernel.zero(grid),
+                             n_theta=16, n_bdry=64)
+    measured, _ = solver.measurement(spec, f=f)
+    direct = rt.ray_transform(solver, spec, f)
     floor = 0.01 * np.abs(direct.values).max()
     bs, qs = np.nonzero(direct.values > floor)
     pick = rng.choice(len(bs), size=20, replace=False)
@@ -141,11 +141,12 @@ def test_criterion_02_ballistic_measurement_consistency():
     # Disk of radius r seen along a diameter: chord length 2r without
     # attenuation, and (e^{-c(R1-r)} - e^{-c(R1+r)})/c with constant c.
     ph = rt.DiskPhantom(radius=0.5, value=1.0)
-    bd0 = rt.ray_transform(spec, rt.AbsorptionField.zero(grid), GEOM, None,
-                           grid=grid, n_theta=16, n_bdry=64, phantom=ph)
-    bd1 = rt.ray_transform(spec, rt.AbsorptionField.constant(grid, GEOM, 1.0),
-                           GEOM, None, grid=grid, n_theta=16, n_bdry=64,
-                           phantom=ph)
+    bd0 = rt.ray_transform(TransportSolver(GEOM, grid, n_theta=16, n_bdry=64),
+                           spec, phantom=ph)
+    bd1 = rt.ray_transform(
+        TransportSolver(GEOM, grid, rt.AbsorptionField.constant(grid, GEOM, 1.0),
+                        n_theta=16, n_bdry=64),
+        spec, phantom=ph)
     exact = (math.exp(-1.0 * (1.2 - 0.5)) - math.exp(-1.0 * (1.2 + 0.5))) / 1.0
     err0 = abs(float(bd0.values[0, 0]) - 1.0)
     err1 = abs(float(bd1.values[0, 0]) - exact)
@@ -259,8 +260,7 @@ def test_criterion_06_visible_singular_values_dominate():
                               target_rho=0.3)
     solver = TransportSolver(GEOM, grid, sigma, kernel, n_theta=16, n_bdry=128)
     mask = rt.visible_mask(spec, GEOM, grid, n_theta=64)
-    sv, si = rt.svd_injectivity(spec, sigma, kernel, GEOM, mask,
-                                n_bdry=128, n_theta=16, solver=solver)
+    sv, si, _ = rt.svd_injectivity(solver, spec, mask)
     ratio = sv / max(si, 1e-14)
     verdict(6, sv > 0.0 and ratio >= 10.0,
             f"sigma_min visible {sv:.3e}, shadow {si:.3e}, "
@@ -277,8 +277,8 @@ def test_criterion_07_normal_operator_paths_cross_validate():
     f *= smooth_step(GEOM.radius_inner - np.hypot(c[..., 0], c[..., 1]), 0.25)
     f *= grid.disk_mask(GEOM.radius_inner)
     direct = rt.normal_operator_kernel(full, sigma0, GEOM, f, grid=grid)
-    fwd = rt.ray_transform(full, sigma0, GEOM, f, grid=grid,
-                           n_theta=64, n_bdry=512)
+    fwd = rt.ray_transform(TransportSolver(GEOM, grid, sigma0, n_theta=64, n_bdry=512),
+                           full, f)
     composed = rt.adjoint_ray_transform(full, sigma0, GEOM, fwd, grid=grid)
     mask = grid.disk_mask(GEOM.radius_inner)
     rel_kernel = float(np.linalg.norm((direct - composed)[mask])
@@ -291,12 +291,9 @@ def test_criterion_07_normal_operator_paths_cross_validate():
     kernel = rt.ScatteringKernel.isotropic(grid24, GEOM, 0.3)
     spec = rt.CutoffSpec.from_arcs([(-math.pi / 2, math.pi / 2)])
     f24 = rt.rasterize(rt.DiskPhantom(radius=0.45), grid24, GEOM)
-    im_mat = rt.normal_operator_full(spec, sigma, kernel, GEOM, f24,
-                                     grid=grid24, n_theta=16, n_bdry=64,
-                                     method="matrix")
-    im_it = rt.normal_operator_full(spec, sigma, kernel, GEOM, f24,
-                                    grid=grid24, n_theta=16, n_bdry=64,
-                                    method="iterative")
+    solver = TransportSolver(GEOM, grid24, sigma, kernel, n_theta=16, n_bdry=64)
+    im_mat = rt.normal_operator_full(solver, spec, f24, method="matrix")
+    im_it = rt.normal_operator_full(solver, spec, f24, method="iterative")
     rel_paths = float(np.linalg.norm(im_mat.values - im_it.values)
                       / np.linalg.norm(im_mat.values))
 
@@ -312,12 +309,11 @@ def test_criterion_08_pairing_reproduces_image_samples():
     kernel = rt.ScatteringKernel.isotropic(grid, GEOM, 0.3)
     spec = rt.CutoffSpec.from_arcs([(-math.pi / 2, math.pi / 2)])
     f = rt.rasterize(rt.DiskPhantom(radius=0.45), grid, GEOM)
-    image = rt.normal_operator_full(spec, sigma, kernel, GEOM, f, grid=grid,
-                                    n_theta=16, n_bdry=64, method="iterative")
+    solver = TransportSolver(GEOM, grid, sigma, kernel, n_theta=16, n_bdry=64)
+    image = rt.normal_operator_full(solver, spec, f, method="iterative")
     worst = 0.0
     for pix in ((12, 12), (10, 14), (14, 9)):
-        paired = rt.point_source_pairing(spec, sigma, kernel, GEOM, f, pix,
-                                         grid=grid, n_theta=16, n_bdry=64)
+        paired = rt.point_source_pairing(solver, spec, f, pix)
         sample = float(image.values[pix])
         worst = max(worst, abs(paired - sample) / abs(sample))
     verdict(8, worst <= 1e-8,
@@ -334,7 +330,8 @@ def test_criterion_09_one_scattering_pass_smooths_noise():
     noise = rng.standard_normal((n_theta, 64, 64))
     noise *= grid.disk_mask(GEOM.radius_inner)[None]
     rough = PhaseSpaceField(grid, angles, noise)
-    before, after = rt.smoothing_diagnostic(sigma, kernel, GEOM, rough)
+    solver = TransportSolver(GEOM, grid, sigma, kernel, n_theta=n_theta, n_bdry=8)
+    before, after = rt.smoothing_diagnostic(solver, rough)
     verdict(9, after <= 0.5 * before,
             f"high-frequency fraction {before:.4f} -> {after:.4f} "
             f"({before / max(after, 1e-30):.2f}x, want >= 2x)")
@@ -348,11 +345,10 @@ def test_criterion_10_shadowed_edges_stay_quiet():
     kernel = scaled_isotropic(grid, GEOM,
                               dict(sigma=sigma, n_theta=64, n_bdry=256),
                               target_rho=0.15)
-    rho = TransportSolver(GEOM, grid, sigma, kernel,
-                          n_theta=64, n_bdry=256).spectral_radius()
+    solver = TransportSolver(GEOM, grid, sigma, kernel, n_theta=64, n_bdry=256)
+    rho = solver.spectral_radius()
     ph = rt.DiskPhantom(radius=0.5, value=1.0)
-    _, edges = rt.wavefront_image(spec, sigma, kernel, GEOM, ph, grid=grid,
-                                  n_theta=64, n_bdry=256, n_edge=72)
+    _, edges = rt.wavefront_image(solver, spec, ph, n_edge=72)
     min_visible = float(edges.strengths[edges.visible].min())
     ok = (rho < 1.0 and min_visible > 0.0
           and edges.response_ratio <= 0.2)

@@ -500,6 +500,17 @@ class TestWavefrontCommand:
         err = capsys.readouterr().err
         assert "piecewise-constant source" in err
 
+    def test_no_responding_visible_edge_is_a_config_error(self, tmp_path, capsys):
+        # This cone lets no edge of the disk source be microvisible, while
+        # the image still responds at shadowed edges; the report said
+        # response_ratio = inf at exit 0.
+        text = ("grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\n"
+                "cutoff.preset = arcs\ncutoff.arcs = 0:0.3\ncutoff.cones = 0.1\n")
+        code, _ = launch(tmp_path, "wavefront", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'cutoff.arcs' and 'cutoff.cones' leave 0 of 96 source edges" in err
+
 
 class TestSmoothingCommand:
     def test_scattering_damps_high_frequencies(self, tmp_path):

@@ -19,6 +19,10 @@ measure runs on forward's documents plus a drawn cutoff, on grids of at
 most 12x12 pixels and 8 directions; its trace of the default disk source
 takes the analytic, jump-refined exit-chord path.  It exits 0, 1 or 2, and
 a successful report has no non-finite number.
+
+wavefront and smoothing run on measure's documents with the same checks:
+wavefront builds the normal-operator image of the disk source and its edge
+report, smoothing one scattering pass over seeded noise.
 """
 
 import math
@@ -286,3 +290,33 @@ def test_outer_radius_with_overflowing_square_is_rejected():
             parse_config(text)
         assert run_cli("visible-set", text) == (1, None)
     assert "grid.nx = 8" in str(err.value) and "grid.ny = 8" in str(err.value)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+# A cone too narrow for any edge of the disk source to be microvisible left
+# the visible median at 0 and the report gave response_ratio = inf at exit 0.
+@example("grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\n"
+         "cutoff.preset = arcs\ncutoff.arcs = 0:0.3\ncutoff.cones = 0.1\n")
+def test_wavefront_survives_any_config(text):
+    status, report = run_cli("wavefront", text)
+    event(f"exit {status}")
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert not NON_FINITE.search(_values(report))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+# A scattering total near 1e153 overflowed the power spectrum of the smoothed
+# noise, and the report gave high_freq_fraction_after = nan at exit 0.
+@example("grid.nx = 8\ngrid.ny = 8\ngrid.n_theta = 8\ngrid.n_bdry = 8\n"
+         "scattering.preset = isotropic\nscattering.total = 9.661882710679254e+152\n")
+def test_smoothing_survives_any_config(text):
+    status, report = run_cli("smoothing", text)
+    event(f"exit {status}")
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert not NON_FINITE.search(_values(report))

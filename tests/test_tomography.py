@@ -60,16 +60,15 @@ def taper_source(grid, geom, profile):
 class TestRayTransform:
     def test_zero_source(self):
         grid = Grid(32, 32, 1.2)
-        bd = ray_transform(CutoffSpec.full_data(), AbsorptionField.zero(grid),
-                           GEOM, np.zeros((32, 32)), grid=grid,
-                           n_theta=8, n_bdry=16)
+        solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=16)
+        bd = ray_transform(solver, CutoffSpec.full_data(), np.zeros((32, 32)))
         assert np.all(bd.values == 0.0)
 
     def test_unattenuated_diameter_chord(self):
         grid = Grid(48, 48, 1.2)
         r = 0.5
-        bd = ray_transform(CutoffSpec.full_data(), AbsorptionField.zero(grid),
-                           GEOM, None, grid=grid, n_theta=8, n_bdry=16,
+        solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=16)
+        bd = ray_transform(solver, CutoffSpec.full_data(),
                            phantom=DiskPhantom(radius=r, value=1.0))
         assert bd.values[0, 0] == pytest.approx(2.0 * r, abs=1e-9)
 
@@ -79,17 +78,17 @@ class TestRayTransform:
         grid = Grid(48, 48, 1.2)
         c, r, D = 0.7, 0.5, GEOM.radius_outer
         sigma = AbsorptionField.constant(grid, GEOM, c)
-        bd = ray_transform(CutoffSpec.full_data(), sigma, GEOM, None,
-                           grid=grid, n_theta=8, n_bdry=16,
-                           h_ray=GEOM.radius_outer / 512,
+        solver = TransportSolver(GEOM, grid, sigma=sigma, n_theta=8, n_bdry=16,
+                                 h_ray=GEOM.radius_outer / 512)
+        bd = ray_transform(solver, CutoffSpec.full_data(),
                            phantom=DiskPhantom(radius=r, value=1.0))
         expected = (math.exp(-c * (D - r)) - math.exp(-c * (D + r))) / c
         assert bd.values[0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_empty_cutoff(self):
         grid = Grid(32, 32, 1.2)
-        bd = ray_transform(CutoffSpec.empty(), AbsorptionField.zero(grid),
-                           GEOM, None, grid=grid, n_theta=8, n_bdry=16,
+        solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=16)
+        bd = ray_transform(solver, CutoffSpec.empty(),
                            phantom=DiskPhantom(radius=0.5, value=1.0))
         assert np.all(bd.values == 0.0)
 
@@ -127,8 +126,8 @@ class TestAdjointRayTransform:
         f = taper_source(
             grid, GEOM,
             1.0 + 0.5 * np.sin(3.0 * c[..., 0]) * np.cos(2.0 * c[..., 1]))
-        fwd = ray_transform(spec, sigma, GEOM, f, grid=grid,
-                            n_theta=32, n_bdry=512)
+        solver = TransportSolver(GEOM, grid, sigma=sigma, n_theta=32, n_bdry=512)
+        fwd = ray_transform(solver, spec, f)
         bg = fwd.bgrid
         hv = (1.0 + 0.4 * np.cos(bg.angles)[:, None]
               + 0.3 * np.sin(2.0 * bg.theta_angles)[None, :])
@@ -168,8 +167,8 @@ class TestNormalOperatorKernel:
         f = taper_source(grid, GEOM,
                          np.exp(-4.0 * ((c[..., 0] - 0.2) ** 2 + c[..., 1] ** 2)))
         direct = normal_operator_kernel(spec, sigma, GEOM, f, grid=grid)
-        fwd = ray_transform(spec, sigma, GEOM, f, grid=grid,
-                            n_theta=64, n_bdry=512)
+        solver = TransportSolver(GEOM, grid, sigma=sigma, n_theta=64, n_bdry=512)
+        fwd = ray_transform(solver, spec, f)
         composed = adjoint_ray_transform(spec, sigma, GEOM, fwd, grid=grid)
         mask = grid.disk_mask(GEOM.radius_inner)
         num = np.linalg.norm((direct - composed)[mask])
@@ -183,18 +182,16 @@ class TestNormalOperatorFull:
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
         c = grid.centers()
         f = taper_source(grid, GEOM, np.exp(-3.0 * (c[..., 0] ** 2 + c[..., 1] ** 2)))
-        img = normal_operator_full(HALF_SOFT, sigma, ScatteringKernel.zero(grid),
-                                   GEOM, f, grid=grid, n_theta=16, n_bdry=64)
+        solver = TransportSolver(GEOM, grid, sigma=sigma,
+                                 kernel=ScatteringKernel.zero(grid), n_theta=16, n_bdry=64)
+        img = normal_operator_full(solver, HALF_SOFT, f)
         assert np.all(img.scattering_remainder == 0.0)
         assert np.any(img.values != 0.0)
 
     def test_zero_source(self):
         grid = Grid(24, 24, 1.2)
-        img = normal_operator_full(CutoffSpec.full_data(),
-                                   AbsorptionField.zero(grid),
-                                   ScatteringKernel.zero(grid), GEOM,
-                                   np.zeros((24, 24)), grid=grid,
-                                   n_theta=16, n_bdry=64)
+        solver = TransportSolver(GEOM, grid, n_theta=16, n_bdry=64)
+        img = normal_operator_full(solver, CutoffSpec.full_data(), np.zeros((24, 24)))
         assert np.all(img.values == 0.0)
 
     def test_matrix_and_iterative_paths_agree(self):
@@ -203,22 +200,31 @@ class TestNormalOperatorFull:
         kernel = ScatteringKernel.isotropic(grid, GEOM, 0.4)
         c = grid.centers()
         f = taper_source(grid, GEOM, np.exp(-3.0 * (c[..., 0] ** 2 + c[..., 1] ** 2)))
-        a = normal_operator_full(HALF_SOFT, sigma, kernel, GEOM, f, grid=grid,
-                                 n_theta=16, n_bdry=64, method="matrix")
-        b = normal_operator_full(HALF_SOFT, sigma, kernel, GEOM, f, grid=grid,
-                                 n_theta=16, n_bdry=64, method="iterative")
+        solver = TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel,
+                                 n_theta=16, n_bdry=64)
+        a = normal_operator_full(solver, HALF_SOFT, f, method="matrix")
+        b = normal_operator_full(solver, HALF_SOFT, f, method="iterative")
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) <= 1e-8 * scale
+
+    def test_unknown_method_fails_before_the_certificate(self):
+        # The method is checked before series_length runs the contraction
+        # certificate, the first product with K T1^{-1}.
+        grid = Grid(24, 24, 1.2)
+        solver = TransportSolver(GEOM, grid,
+                                 kernel=ScatteringKernel.isotropic(grid, GEOM, 0.4),
+                                 n_theta=16, n_bdry=64)
+        with pytest.raises(ValueError, match="method must be"):
+            normal_operator_full(solver, HALF_SOFT, np.zeros((24, 24)), method="dense")
+        assert solver.certificate is None
 
 
 class TestPointSourcePairing:
     def test_zero_source(self):
         grid = Grid(24, 24, 1.2)
-        val = point_source_pairing(CutoffSpec.full_data(),
-                                   AbsorptionField.zero(grid),
-                                   ScatteringKernel.zero(grid), GEOM,
-                                   np.zeros((24, 24)), (12, 12), grid=grid,
-                                   n_theta=16, n_bdry=64)
+        solver = TransportSolver(GEOM, grid, n_theta=16, n_bdry=64)
+        val = point_source_pairing(solver, CutoffSpec.full_data(),
+                                   np.zeros((24, 24)), (12, 12))
         assert val == 0.0
 
     def test_equals_normal_operator_sample(self):
@@ -227,12 +233,11 @@ class TestPointSourcePairing:
         kernel = ScatteringKernel.isotropic(grid, GEOM, 0.4)
         c = grid.centers()
         f = taper_source(grid, GEOM, np.exp(-3.0 * (c[..., 0] ** 2 + c[..., 1] ** 2)))
-        img = normal_operator_full(HALF_SOFT, sigma, kernel, GEOM, f,
-                                   grid=grid, n_theta=16, n_bdry=64,
-                                   method="iterative")
+        solver = TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel,
+                                 n_theta=16, n_bdry=64)
+        img = normal_operator_full(solver, HALF_SOFT, f, method="iterative")
         for z in [(12, 12), (10, 14), (14, 9)]:
-            val = point_source_pairing(HALF_SOFT, sigma, kernel, GEOM, f, z,
-                                       grid=grid, n_theta=16, n_bdry=64)
+            val = point_source_pairing(solver, HALF_SOFT, f, z)
             ref = img.values[z]
             assert val == pytest.approx(ref, rel=1e-8)
 
@@ -241,11 +246,24 @@ class TestPointSourcePairing:
         z = (12, 12)
         phi = np.zeros((24, 24))
         phi[z] = 1.0 / grid.pixel_area
-        val = point_source_pairing(CutoffSpec.full_data(),
-                                   AbsorptionField.zero(grid),
-                                   ScatteringKernel.zero(grid), GEOM, phi, z,
-                                   grid=grid, n_theta=16, n_bdry=64)
+        solver = TransportSolver(GEOM, grid, n_theta=16, n_bdry=64)
+        val = point_source_pairing(solver, CutoffSpec.full_data(), phi, z)
         assert val > 0.0
+
+    def test_pixel_off_the_grid_is_refused(self):
+        # z = (11, 36) on this 24x24 grid used to flatten to 11 * 24 + 36,
+        # the flat index of pixel (12, 12), and pair that pixel silently; a
+        # negative index wrapped the same way.
+        grid = Grid(24, 24, 1.2)
+        solver = TransportSolver(GEOM, grid, n_theta=16, n_bdry=64)
+        f = np.zeros((24, 24))
+        for z in [(11, 36), (13, -12), (24, 0), (-1, 12)]:
+            with pytest.raises(ValueError, match="outside the 24x24 grid"):
+                point_source_pairing(solver, HALF_SOFT, f, z)
+        for z in [576, -1]:
+            with pytest.raises(ValueError, match=r"outside \[0, 576\)"):
+                point_source_pairing(solver, HALF_SOFT, f, z)
+        assert point_source_pairing(solver, HALF_SOFT, f, 12 * 24 + 12) == 0.0
 
 
 class TestPrincipalSymbol:
@@ -422,9 +440,9 @@ class TestSvdInjectivity:
         grid = Grid(24, 24, 1.2)
         sigma = AbsorptionField.zero(grid)
         mask = visible_mask(CutoffSpec.full_data(), GEOM, grid)
-        sv, si = svd_injectivity(CutoffSpec.empty(), sigma,
-                                 ScatteringKernel.zero(grid), GEOM, mask,
-                                 n_bdry=64, n_theta=16)
+        solver = TransportSolver(GEOM, grid, sigma=sigma,
+                                 kernel=ScatteringKernel.zero(grid), n_theta=16, n_bdry=64)
+        sv, si, _ = svd_injectivity(solver, CutoffSpec.empty(), mask)
         assert sv == 0.0
         assert si == 0.0
 
@@ -432,17 +450,18 @@ class TestSvdInjectivity:
         grid = Grid(24, 24, 1.2)
         sigma = AbsorptionField.zero(grid)
         mask = visible_mask(CutoffSpec.full_data(), GEOM, grid)
-        sv, si = svd_injectivity(CutoffSpec.full_data(), sigma,
-                                 ScatteringKernel.zero(grid), GEOM, mask,
-                                 n_bdry=64, n_theta=16)
+        solver = TransportSolver(GEOM, grid, sigma=sigma,
+                                 kernel=ScatteringKernel.zero(grid), n_theta=16, n_bdry=64)
+        sv, si, _ = svd_injectivity(solver, CutoffSpec.full_data(), mask)
         assert sv > 0.0
 
     def test_half_circle_separation(self):
         grid = Grid(24, 24, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
         mask = visible_mask(HALF, GEOM, grid)
-        sv, si = svd_injectivity(HALF, sigma, ScatteringKernel.zero(grid),
-                                 GEOM, mask, n_bdry=64, n_theta=16)
+        solver = TransportSolver(GEOM, grid, sigma=sigma,
+                                 kernel=ScatteringKernel.zero(grid), n_theta=16, n_bdry=64)
+        sv, si, _ = svd_injectivity(solver, HALF, mask)
         assert sv > 0.0
         assert sv / max(si, 1e-14) >= 10.0
 
@@ -450,11 +469,11 @@ class TestSvdInjectivity:
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.zero(grid)
         mask = visible_mask(CutoffSpec.full_data(), GEOM, grid)
+        solver = TransportSolver(GEOM, grid, sigma=sigma,
+                                 kernel=ScatteringKernel.zero(grid), n_theta=16)
         with pytest.raises(ValueError, match="dense SVD"):
-            svd_injectivity(CutoffSpec.full_data(), sigma,
-                            ScatteringKernel.zero(grid), GEOM, mask,
-                            n_theta=16)
-        # A passed solver with too many directions is refused as well.
+            svd_injectivity(solver, CutoffSpec.full_data(), mask)
+        # A solver with too many directions is refused as well.
         grid = Grid(16, 16, 1.2)
         sigma = AbsorptionField.zero(grid)
         kernel = ScatteringKernel.zero(grid)
@@ -462,8 +481,14 @@ class TestSvdInjectivity:
         solver = TransportSolver(geom=GEOM, grid=grid, sigma=sigma,
                                  kernel=kernel, n_theta=64, n_bdry=32)
         with pytest.raises(ValueError, match="dense SVD"):
-            svd_injectivity(CutoffSpec.full_data(), sigma, kernel, GEOM, mask,
-                            solver=solver)
+            svd_injectivity(solver, CutoffSpec.full_data(), mask)
+
+    def test_mask_on_another_grid_is_refused(self):
+        grid = Grid(16, 16, 1.2)
+        solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=32)
+        mask = visible_mask(CutoffSpec.full_data(), GEOM, Grid(16, 16, 1.3))
+        with pytest.raises(ValueError, match="mask grid does not match"):
+            svd_injectivity(solver, CutoffSpec.full_data(), mask)
 
     def test_weighted_adjoint_is_exact_and_gram_symmetric(self):
         grid = Grid(16, 16, 1.2)
@@ -491,8 +516,8 @@ class TestSmoothingDiagnostic:
         f = PhaseSpaceField(grid=grid, theta_angles=angles,
                             values=np.zeros((8, 32, 32)))
         kernel = ScatteringKernel.isotropic(grid, GEOM, 0.5)
-        before, after = smoothing_diagnostic(AbsorptionField.zero(grid),
-                                             kernel, GEOM, f)
+        solver = TransportSolver(GEOM, grid, kernel=kernel, n_theta=8, n_bdry=8)
+        before, after = smoothing_diagnostic(solver, f)
         assert (before, after) == (0.0, 0.0)
 
     def test_white_noise_loses_high_frequencies(self):
@@ -502,8 +527,8 @@ class TestSmoothingDiagnostic:
         f = PhaseSpaceField(grid=grid, theta_angles=angles,
                             values=rng.standard_normal((16, 64, 64)))
         kernel = ScatteringKernel.isotropic(grid, GEOM, 0.5)
-        before, after = smoothing_diagnostic(AbsorptionField.zero(grid),
-                                             kernel, GEOM, f)
+        solver = TransportSolver(GEOM, grid, kernel=kernel, n_theta=16, n_bdry=8)
+        before, after = smoothing_diagnostic(solver, f)
         assert after / before < 0.5
 
     def test_smooth_input_has_nothing_to_smooth(self):
@@ -514,10 +539,19 @@ class TestSmoothingDiagnostic:
         f = PhaseSpaceField(grid=grid, theta_angles=angles,
                             values=np.broadcast_to(bump, (16, 64, 64)).copy())
         kernel = ScatteringKernel.isotropic(grid, GEOM, 0.5)
-        before, after = smoothing_diagnostic(AbsorptionField.zero(grid),
-                                             kernel, GEOM, f)
+        solver = TransportSolver(GEOM, grid, kernel=kernel, n_theta=16, n_bdry=8)
+        before, after = smoothing_diagnostic(solver, f)
         assert before < 0.05
         assert after < 0.05
+
+    def test_field_on_other_grids_is_refused(self):
+        grid = Grid(16, 16, 1.2)
+        solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=8)
+        for other, n_theta in ((Grid(16, 16, 1.3), 8), (grid, 16)):
+            f = PhaseSpaceField(grid=other, theta_angles=TWO_PI * np.arange(n_theta) / n_theta,
+                                values=np.ones((n_theta, 16, 16)))
+            with pytest.raises(ValueError, match="solver's pixel and direction grids"):
+                smoothing_diagnostic(solver, f)
 
 
 class TestHighFrequencyFraction:
@@ -542,6 +576,20 @@ class TestHighFrequencyFraction:
         k_hi = TWO_PI * 12 / (32 * grid.hx)
         vals = np.cos(k_lo * c[..., 0]) + np.sin(k_hi * c[..., 1])
         assert high_frequency_fraction(vals, grid) == pytest.approx(0.5, rel=1e-12)
+
+    def test_huge_values_keep_their_fraction(self):
+        # Values near 1e154 and above overflowed the power spectrum and gave
+        # nan.  The fraction is scale-free: a power-of-two scale of the input
+        # leaves it bit for bit unchanged, any other scale to rounding.
+        grid = Grid(32, 32, 1.2)
+        c = grid.centers()
+        k_lo = TWO_PI * 3 / (32 * grid.hx)
+        k_hi = TWO_PI * 12 / (32 * grid.hx)
+        vals = 0.3 * np.cos(k_lo * c[..., 0]) + np.sin(k_hi * c[..., 1] + 0.4)
+        ref = high_frequency_fraction(vals, grid)
+        for scale in (2.0**-900, 2.0**-20, 2.0**520, 2.0**1000):
+            assert high_frequency_fraction(scale * vals, grid) == ref
+        assert high_frequency_fraction(1e300 * vals, grid) == pytest.approx(ref, rel=1e-12)
 
 
 class TestSeriesLength:
@@ -573,29 +621,28 @@ def _rho_one_total(grid, geom, n_theta, n_bdry, sigma):
 
 class TestWavefrontImage:
     @staticmethod
-    def _scaled_kernel(grid, sigma, rho_target, n_theta, n_bdry):
+    def _scaled_solver(grid, sigma, rho_target, n_theta, n_bdry):
+        """Solver whose isotropic kernel has spectral radius rho_target."""
         base = _rho_one_total(grid, GEOM, n_theta, n_bdry, sigma)
-        return ScatteringKernel.isotropic(grid, GEOM, rho_target / base)
+        kernel = ScatteringKernel.isotropic(grid, GEOM, rho_target / base)
+        return TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel,
+                               n_theta=n_theta, n_bdry=n_bdry)
 
     def test_full_data_every_edge_responds(self):
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
-        kernel = self._scaled_kernel(grid, sigma, 0.15, 64, 256)
-        _, report = wavefront_image(CutoffSpec.full_data(), sigma, kernel,
-                                    GEOM, DiskPhantom(radius=0.5, value=1.0),
-                                    grid=grid, n_theta=64, n_bdry=256,
-                                    n_edge=72)
+        solver = self._scaled_solver(grid, sigma, 0.15, 64, 256)
+        _, report = wavefront_image(solver, CutoffSpec.full_data(),
+                                    DiskPhantom(radius=0.5, value=1.0), n_edge=72)
         assert np.all(report.visible)
         assert float(np.min(report.strengths)) > 0.0
 
     def test_half_circle_shadowed_edges_stay_quiet(self):
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
-        kernel = self._scaled_kernel(grid, sigma, 0.15, 64, 256)
-        _, report = wavefront_image(HALF_SOFT, sigma, kernel, GEOM,
-                                    DiskPhantom(radius=0.5, value=1.0),
-                                    grid=grid, n_theta=64, n_bdry=256,
-                                    n_edge=72)
+        solver = self._scaled_solver(grid, sigma, 0.15, 64, 256)
+        _, report = wavefront_image(solver, HALF_SOFT,
+                                    DiskPhantom(radius=0.5, value=1.0), n_edge=72)
         assert np.any(report.visible)
         assert np.any(~report.visible)
         assert report.response_ratio <= 0.2
@@ -608,13 +655,11 @@ class TestWavefrontImage:
         # edge metric separates kink from trend slope.
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
-        kernel = self._scaled_kernel(grid, sigma, 0.15, 32, 128)
-        flat, _ = wavefront_image(CutoffSpec.full_data(), sigma, kernel, GEOM,
-                                  ConstantPhantom(radius=GEOM.radius_inner * 0.98),
-                                  grid=grid, n_theta=32, n_bdry=128)
-        edged, _ = wavefront_image(CutoffSpec.full_data(), sigma, kernel, GEOM,
-                                   DiskPhantom(radius=0.5, value=1.0),
-                                   grid=grid, n_theta=32, n_bdry=128)
+        solver = self._scaled_solver(grid, sigma, 0.15, 32, 128)
+        flat, _ = wavefront_image(solver, CutoffSpec.full_data(),
+                                  ConstantPhantom(radius=GEOM.radius_inner * 0.98))
+        edged, _ = wavefront_image(solver, CutoffSpec.full_data(),
+                                   DiskPhantom(radius=0.5, value=1.0))
         probes, normals, jumps = DiskPhantom(radius=0.5, value=1.0).edge_points(72)
         ghost = edge_strengths(flat.values, grid, probes, normals, jumps)
         real = edge_strengths(edged.values, grid, probes, normals, jumps)

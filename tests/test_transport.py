@@ -18,12 +18,7 @@ from rte_tomo.transport import (
     PhaseSpaceField,
     TransportSolver,
     apply_J,
-    apply_K,
-    apply_T1_inverse,
-    measure_XV,
     phase_norm,
-    solve_forward,
-    trace_plus,
 )
 
 GEOM = DiskGeometry(0.8, 1.0)
@@ -38,6 +33,11 @@ def bumped_source(grid, geom, amplitude=1.0):
     vals = amplitude * np.exp(-6.0 * r2)
     vals[r2 > (0.9 * geom.radius_inner) ** 2] = 0.0
     return vals
+
+
+def apply_to(op, values):
+    """A solver primitive on (n_theta, ny, nx) values, shaped the same."""
+    return op(values.reshape(len(values), -1, 1)).reshape(values.shape)
 
 
 def cell_midpoints(solver, q, out_idx, counts, dist):
@@ -76,8 +76,9 @@ class TestApplyJ:
 class TestApplyK:
     def test_zero_kernel(self):
         u = apply_J(bumped_source(GRID, GEOM), GRID, n_theta=8)
-        ku = apply_K(ScatteringKernel.zero(GRID), u)
-        assert np.all(ku.values == 0.0)
+        s = TransportSolver(GEOM, GRID, kernel=ScatteringKernel.zero(GRID),
+                            n_theta=8, n_bdry=8)
+        assert np.all(apply_to(s.k_apply, u.values) == 0.0)
 
     def test_isotropic_on_direction_independent_field(self):
         # Inside the source disk the taper is identically one, so an
@@ -87,10 +88,11 @@ class TestApplyK:
         kernel = ScatteringKernel.isotropic(GRID, GEOM, total)
         f = bumped_source(GRID, GEOM, 2.0)
         u = apply_J(f, GRID, n_theta=16)
-        ku = apply_K(kernel, u)
+        s = TransportSolver(GEOM, GRID, kernel=kernel, n_theta=16, n_bdry=8)
+        ku = apply_to(s.k_apply, u.values)
         core = GRID.disk_mask(GEOM.radius_inner)
         for q in range(16):
-            np.testing.assert_allclose(ku.values[q][core],
+            np.testing.assert_allclose(ku[q][core],
                                        total * f[core], atol=1e-12)
 
     def test_single_harmonic_against_direct_quadrature(self):
@@ -100,8 +102,8 @@ class TestApplyK:
         rng = np.random.default_rng(11)
         a = bumped_source(GRID, GEOM) * rng.standard_normal((GRID.ny, GRID.nx))
         vals = a[None, :, :] * np.cos(angles)[:, None, None]
-        u = PhaseSpaceField(grid=GRID, theta_angles=angles, values=vals)
-        ku = apply_K(kernel, u)
+        s = TransportSolver(GEOM, GRID, kernel=kernel, n_theta=n_theta, n_bdry=8)
+        ku = apply_to(s.k_apply, vals)
 
         # Oracle: direct Riemann sum over the same direction grid using the
         # kernel's pointwise eval, assembled without the solver's matrices.
@@ -115,17 +117,15 @@ class TestApplyK:
                 kv = kernel.eval(pts, dirs[q], dirs[qp])
                 acc += kv * flat_u[qp]
             oracle[q] = acc * (TWO_PI / n_theta)
-        np.testing.assert_allclose(ku.values.reshape(n_theta, -1), oracle,
+        np.testing.assert_allclose(ku.reshape(n_theta, -1), oracle,
                                    atol=1e-10)
 
 
 class TestApplyT1Inverse:
     def test_zero_source(self):
-        angles = TWO_PI * np.arange(8) / 8
-        g = PhaseSpaceField(grid=GRID, theta_angles=angles,
-                            values=np.zeros((8, GRID.ny, GRID.nx)))
-        u = apply_T1_inverse(AbsorptionField.zero(GRID), GEOM, g)
-        assert np.allclose(u.values, 0.0)
+        s = TransportSolver(GEOM, GRID, n_theta=8, n_bdry=8)
+        u = apply_to(s.t1_apply, np.zeros((8, GRID.ny, GRID.nx)))
+        assert np.allclose(u, 0.0)
 
     @staticmethod
     def _indicator_field(grid, r0, n_theta):
@@ -143,11 +143,12 @@ class TestApplyT1Inverse:
         grid = Grid(97, 97, 1.2)
         r0 = 0.9
         g = self._indicator_field(grid, r0, 4)
-        u = apply_T1_inverse(AbsorptionField.zero(grid), geom, g)
+        s = TransportSolver(geom, grid, n_theta=4, n_bdry=8)
+        u = apply_to(s.t1_apply, g.values)
         iy = 48
         ix = int(np.argmin(np.abs(grid.xs - 1.05)))
         assert abs(grid.ys[iy]) < 1e-12
-        val = u.values[0, iy, ix]
+        val = u[0, iy, ix]
         assert val == pytest.approx(2.0 * r0, abs=2.5 * grid.hx)
 
     def test_constant_absorption_closed_form(self):
@@ -159,31 +160,32 @@ class TestApplyT1Inverse:
         c, r0 = 0.6, 0.9
         sigma = AbsorptionField.constant(grid, geom, c)
         g = self._indicator_field(grid, r0, 4)
-        u = apply_T1_inverse(sigma, geom, g, h_ray=geom.radius_outer / 1024)
+        s = TransportSolver(geom, grid, sigma=sigma, n_theta=4, n_bdry=8)
+        u = apply_to(s.t1_apply, g.values)
         iy = 48
         ix = int(np.argmin(np.abs(grid.xs - 1.05)))
         x0 = grid.xs[ix]
         expected = math.exp(-c * (x0 - r0)) * (1.0 - math.exp(-2.0 * c * r0)) / c
-        assert u.values[0, iy, ix] == pytest.approx(expected, rel=2e-2)
+        assert u[0, iy, ix] == pytest.approx(expected, rel=2e-2)
 
 
 class TestSolveForward:
     def test_no_scattering_truncates_after_one_sweep(self):
         sigma = AbsorptionField.constant(GRID, GEOM, 0.4)
         f = bumped_source(GRID, GEOM)
-        u, report = solve_forward(sigma, ScatteringKernel.zero(GRID), GEOM, f,
-                                  n_theta=8, n_bdry=16)
+        s = TransportSolver(GEOM, GRID, sigma=sigma, kernel=ScatteringKernel.zero(GRID),
+                            n_theta=8, n_bdry=16)
+        u, report = s.solve(f=f)
         assert report.iterations == 1
         assert report.converged
-        stream = apply_T1_inverse(sigma, GEOM,
-                                  apply_J(f, GRID, n_theta=8, geom=GEOM))
-        np.testing.assert_allclose(u.values, stream.values, atol=1e-14)
+        stream = apply_to(s.t1_apply, apply_J(f, GRID, n_theta=8, geom=GEOM).values)
+        np.testing.assert_allclose(u.values, stream, atol=1e-14)
 
     def test_zero_source_converges_immediately(self):
         sigma = AbsorptionField.zero(GRID)
         kernel = ScatteringKernel.isotropic(GRID, GEOM, 0.5)
-        u, report = solve_forward(sigma, kernel, GEOM, np.zeros((48, 48)),
-                                  n_theta=8, n_bdry=16)
+        s = TransportSolver(GEOM, GRID, sigma=sigma, kernel=kernel, n_theta=8, n_bdry=16)
+        u, report = s.solve(f=np.zeros((48, 48)))
         assert report.iterations == 1
         assert np.all(u.values == 0.0)
 
@@ -192,8 +194,9 @@ class TestSolveForward:
         sigma = AbsorptionField.zero(grid)
         kernel = ScatteringKernel.isotropic(grid, GEOM, 0.8)
         f = bumped_source(grid, GEOM)
-        u, report = solve_forward(sigma, kernel, GEOM, f, n_theta=16,
-                                  n_bdry=32, tol=1e-12)
+        s = TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel, n_theta=16,
+                            n_bdry=32, tol=1e-12)
+        u, report = s.solve(f=f)
         assert report.converged
         hist = np.asarray(report.residual_history)
         ratios = hist[1:] / hist[:-1]
@@ -207,10 +210,11 @@ class TestSolveForward:
         sigma = AbsorptionField.zero(grid)
         kernel = ScatteringKernel.isotropic(grid, GEOM, 12.0)
         f = bumped_source(grid, GEOM)
+        s = TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel, n_theta=8, n_bdry=16)
         with pytest.raises(NonConvergenceError, match="refusing"):
-            solve_forward(sigma, kernel, GEOM, f, n_theta=8, n_bdry=16)
+            s.solve(f=f)
         try:
-            solve_forward(sigma, kernel, GEOM, f, n_theta=8, n_bdry=16)
+            s.solve(f=f)
         except NonConvergenceError as err:
             assert not err.report.converged
             assert err.report.spectral_radius_estimate >= 1.0 - 5e-2
@@ -406,10 +410,14 @@ class TestCertificate:
 
 class TestTracePlus:
     def test_zero_field(self):
-        angles = TWO_PI * np.arange(8) / 8
-        u = PhaseSpaceField(grid=GRID, theta_angles=angles,
-                            values=np.zeros((8, GRID.ny, GRID.nx)))
-        bd = trace_plus(u, GEOM, n_bdry=32)
+        s = TransportSolver(GEOM, GRID, n_theta=8, n_bdry=32)
+        # A field without a recorded transport source has nothing to trace.
+        bare = PhaseSpaceField(grid=GRID, theta_angles=s.theta_angles,
+                               values=np.zeros((8, GRID.ny, GRID.nx)))
+        with pytest.raises(ValueError, match="no transport source"):
+            s.trace_field(bare)
+        u, _ = s.solve(f=np.zeros((GRID.ny, GRID.nx)))
+        bd = s.trace_field(u)
         assert np.all(bd.values == 0.0)
 
     def test_diameter_trace_of_disk_phantom(self):
@@ -418,11 +426,9 @@ class TestTracePlus:
         geom = DiskGeometry(1.0, 1.2)
         grid = Grid(48, 48, 1.2)
         r = 0.5
-        u, _ = solve_forward(AbsorptionField.zero(grid),
-                             ScatteringKernel.zero(grid), geom,
-                             None, grid=grid, n_theta=8, n_bdry=16,
-                             phantom=DiskPhantom(radius=r, value=1.0))
-        bd = trace_plus(u, geom, n_bdry=16)
+        s = TransportSolver(geom, grid, n_theta=8, n_bdry=16)
+        u, _ = s.solve(phantom=DiskPhantom(radius=r, value=1.0))
+        bd = s.trace_field(u)
         # Boundary angle 0 is the point (R1, 0); direction index 0 is
         # theta = (1, 0), an outgoing diameter through the phantom center.
         assert bd.bgrid.outgoing[0, 0]
@@ -432,60 +438,38 @@ class TestTracePlus:
         geom = DiskGeometry(1.0, 1.2)
         grid = Grid(40, 40, 1.2)
         sigma = AbsorptionField.gaussian(grid, geom, 0.5, width=0.5)
-        u, _ = solve_forward(sigma, ScatteringKernel.zero(grid), geom, None,
-                             grid=grid, n_theta=12, n_bdry=48,
-                             phantom=DiskPhantom(radius=0.5, value=1.0))
-        traced = trace_plus(u, geom, n_bdry=48, sigma=sigma)
-        direct = ray_transform(CutoffSpec.full_data(), sigma, geom, None,
-                               grid=grid, n_theta=12, n_bdry=48,
+        s = TransportSolver(geom, grid, sigma=sigma, n_theta=12, n_bdry=48)
+        u, _ = s.solve(phantom=DiskPhantom(radius=0.5, value=1.0))
+        traced = s.trace_field(u)
+        direct = ray_transform(s, CutoffSpec.full_data(),
                                phantom=DiskPhantom(radius=0.5, value=1.0))
         np.testing.assert_allclose(traced.values, direct.values, atol=1e-8)
-
-    def test_bare_field_fallback_samples_near_boundary(self):
-        # A field without source provenance is traced by sampling one march
-        # step inside the rim, so a smooth profile comes back with O(h) error.
-        geom = DiskGeometry(0.8, 1.0)
-        grid = Grid(64, 64, 1.0)
-        c = grid.centers()
-        profile = c[..., 0]
-        angles = TWO_PI * np.arange(8) / 8
-        vals = np.broadcast_to(profile, (8, grid.ny, grid.nx)).copy()
-        u = PhaseSpaceField(grid=grid, theta_angles=angles, values=vals)
-        bd = trace_plus(u, geom, n_bdry=32)
-        for b in range(32):
-            for q in range(8):
-                # Near-tangential exits step back along theta without leaving
-                # the rim, so only transversal pairs sample the raster well.
-                if bd.bgrid.normal_dot[b, q] < 0.7:
-                    continue
-                z = bd.bgrid.points[b]
-                assert bd.values[b, q] == pytest.approx(z[0], abs=3.0 * grid.hx)
 
 
 class TestMeasureXV:
     def test_empty_cutoff_measures_nothing(self):
         sigma = AbsorptionField.constant(GRID, GEOM, 0.3)
         f = bumped_source(GRID, GEOM)
-        bd = measure_XV(CutoffSpec.empty(), sigma, ScatteringKernel.zero(GRID),
-                        GEOM, f, n_theta=8, n_bdry=16)
+        s = TransportSolver(GEOM, GRID, sigma=sigma, kernel=ScatteringKernel.zero(GRID),
+                            n_theta=8, n_bdry=16)
+        bd, _ = s.measurement(CutoffSpec.empty(), f=f)
         assert np.all(bd.values == 0.0)
 
     def test_zero_source_measures_nothing(self):
         sigma = AbsorptionField.constant(GRID, GEOM, 0.3)
         kernel = ScatteringKernel.isotropic(GRID, GEOM, 0.4)
-        bd = measure_XV(CutoffSpec.full_data(), sigma, kernel, GEOM,
-                        np.zeros((48, 48)), n_theta=8, n_bdry=16)
+        s = TransportSolver(GEOM, GRID, sigma=sigma, kernel=kernel, n_theta=8, n_bdry=16)
+        bd, _ = s.measurement(CutoffSpec.full_data(), f=np.zeros((48, 48)))
         assert np.all(bd.values == 0.0)
 
     def test_full_data_ballistic_measurement_is_ray_transform(self):
         grid = Grid(32, 32, 1.0)
         sigma = AbsorptionField.gaussian(grid, GEOM, 0.4, width=0.4)
         f = bumped_source(grid, GEOM)
-        bd = measure_XV(CutoffSpec.full_data(), sigma,
-                        ScatteringKernel.zero(grid), GEOM, f,
-                        n_theta=12, n_bdry=32)
-        direct = ray_transform(CutoffSpec.full_data(), sigma, GEOM, f,
-                               grid=grid, n_theta=12, n_bdry=32)
+        s = TransportSolver(GEOM, grid, sigma=sigma, kernel=ScatteringKernel.zero(grid),
+                            n_theta=12, n_bdry=32)
+        bd, _ = s.measurement(CutoffSpec.full_data(), f=f)
+        direct = ray_transform(s, CutoffSpec.full_data(), f)
         np.testing.assert_allclose(bd.values, direct.values, atol=1e-8)
 
 
