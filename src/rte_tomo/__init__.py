@@ -49,7 +49,6 @@ from .coefficients import (
     TrigPoly,
     attenuation_E,
     attenuation_Sigma,
-    kernel_eval,
     mode_norms,
     sobolev_raster_norm,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,14 @@ from .coefficients import AbsorptionField, ScatteringKernel
 from .geometry import CutoffSpec, DiskGeometry, Grid, visible_mask
 from .phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
 from .tomography import (
+    DENSE_MAX_PIXELS,
+    DENSE_MAX_THETA,
+    dense_fits,
     normal_operator_full,
     svd_injectivity,
     symbol_field,
     smoothing_diagnostic,
+    visible_columns,
     wavefront_image,
 )
 from .transport import (
@@ -70,88 +74,55 @@ class ConfigError(Exception):
     pass
 
 
+def _key(key, default):
+    """A RunConfig field set by the config key ``key``."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class RunConfig:
-    radius_inner: float = 1.0
-    radius_outer: float = 1.2
-    nx: int = 64
-    ny: int = 64
-    n_theta: int = 64
-    n_bdry: int = 256
-    absorption_preset: str = "zero"
-    absorption_value: float = 0.5
-    absorption_amplitude: float = 0.5
-    absorption_center_x: float = 0.0
-    absorption_center_y: float = 0.0
-    absorption_width: float = 0.25
-    absorption_base: float = 0.5
-    absorption_order: int = 1
-    absorption_path: str = ""
-    scattering_preset: str = "zero"
-    scattering_total: float = 0.3
-    scattering_g: float = 0.5
-    scattering_n_modes: int = 3
-    cutoff_preset: str = "full"
-    cutoff_arcs: str = ""
-    cutoff_cones: str = ""
-    cutoff_transition_width: float = 0.0
-    solver_tol: float = 1e-10
-    solver_max_iter: int = 200
-    solver_h_ray: float = 0.0
-    source_preset: str = "disk"
-    source_center_x: float = 0.0
-    source_center_y: float = 0.0
-    source_radius: float = 0.5
-    source_value: float = 1.0
-    source_width: float = 0.2
-    source_amplitude: float = 1.0
-    source_path: str = ""
-    output_dir: str = "out"
-    seed: int = 0
-    symbol_n_xi: int = 32
-    wavefront_n_edge: int = 96
+    radius_inner: float = _key("geometry.R", 1.0)
+    radius_outer: float = _key("geometry.R1", 1.2)
+    nx: int = _key("grid.nx", 64)
+    ny: int = _key("grid.ny", 64)
+    n_theta: int = _key("grid.n_theta", 64)
+    n_bdry: int = _key("grid.n_bdry", 256)
+    absorption_preset: str = _key("absorption.preset", "zero")
+    absorption_value: float = _key("absorption.value", 0.5)
+    absorption_amplitude: float = _key("absorption.amplitude", 0.5)
+    absorption_center_x: float = _key("absorption.center_x", 0.0)
+    absorption_center_y: float = _key("absorption.center_y", 0.0)
+    absorption_width: float = _key("absorption.width", 0.25)
+    absorption_base: float = _key("absorption.base", 0.5)
+    absorption_order: int = _key("absorption.order", 1)
+    absorption_path: str = _key("absorption.path", "")
+    scattering_preset: str = _key("scattering.preset", "zero")
+    scattering_total: float = _key("scattering.total", 0.3)
+    scattering_g: float = _key("scattering.g", 0.5)
+    scattering_n_modes: int = _key("scattering.n_modes", 3)
+    cutoff_preset: str = _key("cutoff.preset", "full")
+    cutoff_arcs: str = _key("cutoff.arcs", "")
+    cutoff_cones: str = _key("cutoff.cones", "")
+    cutoff_transition_width: float = _key("cutoff.transition_width", 0.0)
+    solver_tol: float = _key("solver.tol", 1e-10)
+    solver_max_iter: int = _key("solver.max_iter", 200)
+    solver_h_ray: float = _key("solver.h_ray", 0.0)
+    source_preset: str = _key("source.preset", "disk")
+    source_center_x: float = _key("source.center_x", 0.0)
+    source_center_y: float = _key("source.center_y", 0.0)
+    source_radius: float = _key("source.radius", 0.5)
+    source_value: float = _key("source.value", 1.0)
+    source_width: float = _key("source.width", 0.2)
+    source_amplitude: float = _key("source.amplitude", 1.0)
+    source_path: str = _key("source.path", "")
+    output_dir: str = _key("output.dir", "out")
+    seed: int = _key("run.seed", 0)
+    symbol_n_xi: int = _key("symbol.n_xi", 32)
+    wavefront_n_edge: int = _key("wavefront.n_edge", 96)
 
 
-_SCHEMA = {
-    "geometry.R": ("radius_inner", float),
-    "geometry.R1": ("radius_outer", float),
-    "grid.nx": ("nx", int),
-    "grid.ny": ("ny", int),
-    "grid.n_theta": ("n_theta", int),
-    "grid.n_bdry": ("n_bdry", int),
-    "absorption.preset": ("absorption_preset", str),
-    "absorption.value": ("absorption_value", float),
-    "absorption.amplitude": ("absorption_amplitude", float),
-    "absorption.center_x": ("absorption_center_x", float),
-    "absorption.center_y": ("absorption_center_y", float),
-    "absorption.width": ("absorption_width", float),
-    "absorption.base": ("absorption_base", float),
-    "absorption.order": ("absorption_order", int),
-    "absorption.path": ("absorption_path", str),
-    "scattering.preset": ("scattering_preset", str),
-    "scattering.total": ("scattering_total", float),
-    "scattering.g": ("scattering_g", float),
-    "scattering.n_modes": ("scattering_n_modes", int),
-    "cutoff.preset": ("cutoff_preset", str),
-    "cutoff.arcs": ("cutoff_arcs", str),
-    "cutoff.cones": ("cutoff_cones", str),
-    "cutoff.transition_width": ("cutoff_transition_width", float),
-    "solver.tol": ("solver_tol", float),
-    "solver.max_iter": ("solver_max_iter", int),
-    "solver.h_ray": ("solver_h_ray", float),
-    "source.preset": ("source_preset", str),
-    "source.center_x": ("source_center_x", float),
-    "source.center_y": ("source_center_y", float),
-    "source.radius": ("source_radius", float),
-    "source.value": ("source_value", float),
-    "source.width": ("source_width", float),
-    "source.amplitude": ("source_amplitude", float),
-    "source.path": ("source_path", str),
-    "output.dir": ("output_dir", str),
-    "run.seed": ("seed", int),
-    "symbol.n_xi": ("symbol_n_xi", int),
-    "wavefront.n_edge": ("wavefront_n_edge", int),
-}
+# Config key -> (RunConfig attribute, parser), in declaration order.
+_SCHEMA = {f.metadata["key"]: (f.name, type(f.default)) for f in fields(RunConfig)}
 
 
 def parse_config(text):
@@ -442,10 +413,6 @@ def _existing_path(text):
     return path
 
 
-def _h_ray(cfg):
-    return cfg.solver_h_ray if cfg.solver_h_ray > 0.0 else None
-
-
 def _make_solver(cfg):
     geom = build_geometry(cfg)
     grid = build_grid(cfg)
@@ -453,7 +420,7 @@ def _make_solver(cfg):
                            sigma=build_absorption(cfg, grid, geom),
                            kernel=build_scattering(cfg, grid, geom),
                            n_theta=cfg.n_theta, n_bdry=cfg.n_bdry,
-                           h_ray=_h_ray(cfg), tol=cfg.solver_tol,
+                           h_ray=cfg.solver_h_ray or None, tol=cfg.solver_tol,
                            max_iter=cfg.solver_max_iter)
 
 
@@ -465,7 +432,6 @@ def _make_solver(cfg):
 class Report:
     def __init__(self, out_dir, command, config_path):
         self.out = Path(out_dir)
-        self.out.mkdir(parents=True, exist_ok=True)
         self.lines = [f"command = {command}", f"config = {config_path}"]
         self.artifacts = []
 
@@ -481,8 +447,14 @@ class Report:
     def check(self, name, ok):
         self.lines.append(f"check {name} = {'PASS' if ok else 'FAIL'}")
 
+    def _path(self, name):
+        """A file in the output directory, which is created on first use so
+        that a config error raised by a command leaves no directory."""
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / name
+
     def artifact(self, name):
-        path = self.out / name
+        path = self._path(name)
         self.artifacts.append(path)
         return path
 
@@ -503,7 +475,7 @@ class Report:
             self.value("spectral_radius_lower", cert.lower)
 
     def write(self):
-        path = self.out / "report.txt"
+        path = self._path("report.txt")
         with open(path, "w", newline="\n") as fh:
             for line in self.lines:
                 fh.write(line + "\n")
@@ -605,8 +577,18 @@ def _cmd_symbol(cfg, rep):
 
 def _cmd_svd(cfg, rep):
     solver = _make_solver(cfg)
+    if not dense_fits(solver):
+        raise ConfigError(
+            f"svd assembles a dense matrix, at most {DENSE_MAX_PIXELS} pixels and "
+            f"{DENSE_MAX_THETA} directions; grid.nx = {cfg.nx}, grid.ny = {cfg.ny} and "
+            f"grid.n_theta = {cfg.n_theta} exceed that (lower them)")
     spec = build_cutoff(cfg)
     mask = visible_mask(spec, solver.geom, solver.grid, n_theta=cfg.n_theta)
+    if len(visible_columns(solver, mask)) == 0:
+        raise ConfigError(
+            f"'cutoff.preset', 'cutoff.arcs' and 'cutoff.cones' leave no visible pixel "
+            f"once svd erodes the visible set by two pixels (cutoff.preset = "
+            f"{cfg.cutoff_preset}; widen cutoff.arcs or cutoff.cones)")
     sv, si, op_vis = svd_injectivity(solver, spec, mask)
     rep.value("sigma_min_visible", sv)
     rep.value("sigma_min_invisible", si)

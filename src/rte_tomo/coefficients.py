@@ -335,11 +335,6 @@ class ScatteringKernel:
         return total
 
 
-def kernel_eval(kernel, x, theta, theta_prime):
-    """Scattering kernel value k(x, theta, theta')."""
-    return kernel.eval(x, theta, theta_prime)
-
-
 # ---------------------------------------------------------------------------
 # attenuation along rays
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ EDGE_WINDOW = 3
 STACK_BLOCK_NODES = 2**20
 
 
-def _dense_fits(solver):
+def dense_fits(solver):
     """Whether the solver's problem is small enough for dense assembly."""
     return (solver.grid.n_pixels <= DENSE_MAX_PIXELS
             and solver.n_theta <= DENSE_MAX_THETA)
@@ -397,19 +397,18 @@ class OperatorMatrix:
         return np.linalg.svd(b, compute_uv=False)
 
 
-def assemble_xv_matrix(solver, spec, col_pixels=None, n_terms=None):
+def assemble_xv_matrix(solver, spec, n_terms, col_pixels=None):
     """Assemble the measurement operator column by column.
 
     Columns march in increasing pixel index; each is the measurement of a
-    unit pixel source, kept at the shared scattering series length so the
-    matrix and the iterative application agree.
+    unit pixel source summed to n_terms scattering terms, so at
+    series_length(solver) the matrix and the iterative application agree.
+    col_pixels defaults to the source-disk pixels.
     """
     grid = solver.grid
     if col_pixels is None:
         col_pixels = np.nonzero(solver._omega_flat)[0]
     col_pixels = np.asarray(col_pixels, dtype=np.intp)
-    if n_terms is None:
-        n_terms = series_length(solver)
     n_rows = solver.bgrid.n_bdry * solver.n_theta
     matrix = np.empty((n_rows, len(col_pixels)))
     for start in range(0, len(col_pixels), ASSEMBLY_BATCH):
@@ -465,30 +464,23 @@ def normal_operator_full(solver, spec, f, method="auto"):
     omega = solver._omega_flat
     m = series_length(solver)
     if method == "auto":
-        method = "matrix" if _dense_fits(solver) else "iterative"
+        method = "matrix" if dense_fits(solver) else "iterative"
     if method == "matrix":
-        op = assemble_xv_matrix(solver, spec, n_terms=m)
-        cols = op.col_pixels
-        full = np.zeros(grid.n_pixels)
-        full[cols] = op.apply_adjoint(op.apply(f_flat[cols]))
-        if m == 0:
-            ball = full.copy()
-        else:
-            op0 = assemble_xv_matrix(solver, spec, n_terms=0)
-            ball = np.zeros(grid.n_pixels)
-            ball[cols] = op0.apply_adjoint(op0.apply(f_flat[cols]))
+        def image(n_terms):
+            op = assemble_xv_matrix(solver, spec, n_terms)
+            out = np.zeros(grid.n_pixels)
+            out[op.col_pixels] = op.apply_adjoint(op.apply(f_flat[op.col_pixels]))
+            return out
     else:
-        area = grid.pixel_area
         meas = solver.bgrid.measure[..., None]
-        b = solver.xv_apply(f_flat[:, None], spec, m)
-        full = solver.xv_transpose(meas * b, spec, m)[:, 0] / area
-        full *= omega
-        if m == 0:
-            ball = full.copy()
-        else:
-            b0 = solver.xv_apply(f_flat[:, None], spec, 0)
-            ball = solver.xv_transpose(meas * b0, spec, 0)[:, 0] / area
-            ball *= omega
+
+        def image(n_terms):
+            b = solver.xv_apply(f_flat[:, None], spec, n_terms)
+            out = solver.xv_transpose(meas * b, spec, n_terms)[:, 0] / grid.pixel_area
+            out *= omega
+            return out
+    full = image(m)
+    ball = full.copy() if m == 0 else image(0)
     values = full.reshape(grid.ny, grid.nx)
     ballistic = ball.reshape(grid.ny, grid.nx)
     return WavefrontImage(
@@ -535,6 +527,13 @@ def point_source_pairing(solver, spec, f, z):
 # ---------------------------------------------------------------------------
 
 
+def visible_columns(solver, support_mask):
+    """Flat source-disk pixels of the visible support eroded by two pixels."""
+    omega = solver._omega_flat.reshape(solver.grid.ny, solver.grid.nx)
+    eroded = ndimage.binary_erosion(support_mask.visible, iterations=2) & omega
+    return np.nonzero(eroded.reshape(-1))[0]
+
+
 def svd_injectivity(solver, spec, support_mask):
     """Smallest singular values on visible and shadowed pixel supports.
 
@@ -546,27 +545,25 @@ def svd_injectivity(solver, spec, support_mask):
     singular value, smallest shadowed one, the visible-support
     OperatorMatrix).
     """
-    if not _dense_fits(solver):
+    if not dense_fits(solver):
         raise ValueError(
             f"dense SVD requires at most {DENSE_MAX_PIXELS} pixels and "
             f"{DENSE_MAX_THETA} angles")
     grid = solver.grid
     if support_mask.grid != grid:
         raise ValueError("support mask grid does not match the solver grid")
-    m = series_length(solver)
-    omega = solver._omega_flat.reshape(grid.ny, grid.nx)
-    eroded = ndimage.binary_erosion(support_mask.visible, iterations=2) & omega
-    vis_cols = np.nonzero(eroded.reshape(-1))[0]
+    vis_cols = visible_columns(solver, support_mask)
     if len(vis_cols) == 0:
         raise ValueError("visible support is empty after erosion")
-    op_vis = assemble_xv_matrix(solver, spec, col_pixels=vis_cols, n_terms=m)
+    m = series_length(solver)
+    op_vis = assemble_xv_matrix(solver, spec, m, col_pixels=vis_cols)
     sigma_min_visible = float(op_vis.singular_values()[-1])
+    omega = solver._omega_flat.reshape(grid.ny, grid.nx)
     shadow = ndimage.binary_erosion(omega & ~support_mask.visible, iterations=2)
     inv_cols = np.nonzero(shadow.reshape(-1))[0]
-    if len(inv_cols) == 0:
-        sigma_min_invisible = 0.0
-    else:
-        op_inv = assemble_xv_matrix(solver, spec, col_pixels=inv_cols, n_terms=m)
+    sigma_min_invisible = 0.0
+    if len(inv_cols):
+        op_inv = assemble_xv_matrix(solver, spec, m, col_pixels=inv_cols)
         sigma_min_invisible = float(op_inv.singular_values()[-1])
     return sigma_min_visible, sigma_min_invisible, op_vis
 

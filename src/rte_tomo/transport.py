@@ -118,11 +118,6 @@ class SolveReport:
         """The spectral radius bound the solve rested on (upper end)."""
         return self.certificate.upper
 
-    @property
-    def scatter_terms(self):
-        """Number of scattering applications folded into the solution."""
-        return max(self.iterations - 1, 0)
-
 
 class BoundaryGrid:
     """Uniform sample layout on outgoing boundary phase space.
@@ -673,11 +668,10 @@ class TransportSolver:
         return Certificate("power-iteration", spent + 2 * POWER_STEPS,
                            rho if math.isfinite(rho) else math.inf)
 
-    def _report(self, iterations, history, converged, cert=None):
-        """SolveReport carrying a certificate, by default this solver's."""
+    def _report(self, iterations, history, converged):
+        """SolveReport carrying this solver's certificate."""
         return SolveReport(iterations=iterations, residual_history=tuple(history),
-                           converged=converged,
-                           certificate=cert if cert is not None else self.certificate)
+                           converged=converged, certificate=self.certificate)
 
     def require_contraction(self):
         """The spectral radius bound; raises NonConvergenceError unless it
@@ -717,42 +711,29 @@ class TransportSolver:
         non-finite, or once max_iter is exhausted.
         """
         f_flat = self._f_flat(f, phantom)
+        source = phantom if phantom is not None else f_flat
         jf = self.j_apply(f_flat)
-        if self.kernel.is_zero:
-            u = self.t1_apply(jf)
-            report = self._report(1, (), True, NO_SCATTERING)
-            return self._make_field(u, phantom if phantom is not None else f_flat,
-                                    None), report
         self.require_contraction()
         u = self.t1_apply(jf)
-        scale = float(phase_norm(u, self.grid)[0])
-        if scale == 0.0:
-            report = self._report(1, (), True)
-            return self._make_field(u, phantom if phantom is not None else f_flat,
-                                    None), report
+        if self.kernel.is_zero or float(phase_norm(u, self.grid)[0]) == 0.0:
+            return self._make_field(u, source, None), self._report(1, (), True)
         history = []
-        scatter = None
         for it in range(2, self.max_iter + 1):
             scatter = self.k_apply(u)
-            g = jf + scatter
-            u_next = self.t1_apply(g)
+            u_next = self.t1_apply(jf + scatter)
             res = float(phase_norm(u_next - u, self.grid)[0])
             res /= max(float(phase_norm(u_next, self.grid)[0]), 1e-300)
             history.append(res)
             u = u_next
             if not math.isfinite(res):
-                report = self._report(it, history, False)
                 raise NonConvergenceError(
                     f"fixed-point residual is non-finite ({res}) at iteration {it}",
-                    report)
+                    self._report(it, history, False))
             if res < self.tol:
-                report = self._report(it, history, True)
-                return self._make_field(u, phantom if phantom is not None else f_flat,
-                                        scatter), report
-        report = self._report(self.max_iter, history, False)
+                return self._make_field(u, source, scatter), self._report(it, history, True)
         raise NonConvergenceError(
             f"fixed point did not reach tolerance {self.tol:g} in "
-            f"{self.max_iter} iterations", report)
+            f"{self.max_iter} iterations", self._report(self.max_iter, history, False))
 
     def _make_field(self, values, source_f, scatter):
         if isinstance(source_f, np.ndarray):
@@ -802,38 +783,6 @@ class TransportSolver:
             acc += y
         b = self.trace_phase(acc, None)
         return self.chi_values(spec)[..., None] * b
-
-    def xv_apply_auto(self, f_flat, spec):
-        """Like xv_apply but chooses the series length from the tolerance.
-
-        Raises NonConvergenceError as soon as a term's norm ratio is
-        non-finite, or when the series has not settled after max_iter terms.
-        """
-        self.require_contraction()
-        jf = self.j_apply(f_flat)
-        acc = jf.copy()
-        y = jf
-        n_terms = 0
-        scale = np.maximum(phase_norm(jf, self.grid), 1e-300)
-        if self.kernel.is_zero or float(scale.max()) <= 1e-300:
-            return self.xv_apply(f_flat, spec, 0), 0
-        for _ in range(self.max_iter):
-            y = self.k_apply(self.t1_apply(y))
-            acc += y
-            n_terms += 1
-            ratio = float((phase_norm(y, self.grid) / scale).max())
-            if not math.isfinite(ratio):
-                report = self._report(n_terms, (), False)
-                raise NonConvergenceError(
-                    f"scattering series residual is non-finite ({ratio}) at "
-                    f"term {n_terms}", report)
-            if ratio < self.tol:
-                break
-        else:
-            report = self._report(self.max_iter, (), False)
-            raise NonConvergenceError("scattering series did not settle", report)
-        b = self.trace_phase(acc, None)
-        return self.chi_values(spec)[..., None] * b, n_terms
 
     def xv_transpose(self, cot, spec, n_terms):
         """Exact transpose of xv_apply at matched series length."""

@@ -283,6 +283,42 @@ class TestExitCodes:
         report = (out_dir / "report.txt").read_text()
         assert not re.search(r"\b(?:nan|inf)\b", report)
 
+    def test_svd_above_dense_cap_exits_one(self, tmp_path, capsys):
+        # The default 64x64 grid fails the same way; this refusal came as a
+        # ValueError traceback from svd_injectivity.
+        text = ("grid.nx = 40\ngrid.ny = 40\ngrid.n_theta = 8\ngrid.n_bdry = 16\n"
+                "scattering.preset = isotropic\nscattering.total = 0.5\n")
+        code, out_dir = launch(tmp_path, "svd", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "grid.nx = 40, grid.ny = 40 and grid.n_theta = 8" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("cutoff", [
+        "cutoff.preset = arcs\ncutoff.arcs = 0:0.3\n",
+        "cutoff.preset = empty\n",
+    ], ids=["narrow-arc", "empty-preset"])
+    def test_svd_with_empty_eroded_support_exits_one(self, tmp_path, capsys, cutoff):
+        text = "grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\n" + cutoff
+        code, out_dir = launch(tmp_path, "svd", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'cutoff.preset', 'cutoff.arcs' and 'cutoff.cones' leave no visible" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command, text", [
+        ("wavefront", TINY + "cutoff.preset = arcs\ncutoff.arcs = 0:0.3\n"
+                             "cutoff.cones = 0.1\n"),
+        ("forward", TINY + "source.preset = csv\n"),
+    ], ids=["wavefront-no-visible-edge", "forward-csv-without-path"])
+    def test_command_config_error_leaves_no_directory(self, tmp_path, capsys,
+                                                      command, text):
+        code, out_dir = launch(tmp_path, command, text)
+        assert code == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_run_command_rejects_unknown_name(self):
         with pytest.raises(ConfigError, match="unknown command"):
             run_command("sharpen", parse_config(""))

@@ -156,15 +156,15 @@ class TestScatteringKernel:
     def test_empty_modes_zero(self):
         k = rt.ScatteringKernel.zero(GRID)
         assert k.is_zero
-        assert rt.kernel_eval(k, (0.1, 0.1), (1.0, 0.0), (0.0, 1.0)) == 0.0
+        assert k.eval((0.1, 0.1), (1.0, 0.0), (0.0, 1.0)) == 0.0
 
     def test_isotropic_mass_inside_disk(self):
         c = 0.8
         k = rt.ScatteringKernel.isotropic(GRID, GEOM, c)
-        v = rt.kernel_eval(k, (0.1, -0.2), (1.0, 0.0), (0.0, 1.0))
+        v = k.eval((0.1, -0.2), (1.0, 0.0), (0.0, 1.0))
         assert v == pytest.approx(c / (2.0 * math.pi), rel=1e-12)
         # taper pushes it to zero near the outer boundary
-        edge = rt.kernel_eval(k, (1.19, 0.0), (1.0, 0.0), (0.0, 1.0))
+        edge = k.eval((1.19, 0.0), (1.0, 0.0), (0.0, 1.0))
         assert edge == pytest.approx(0.0, abs=1e-12)
 
     def test_henyey_greenstein_matches_direct_sum(self):
@@ -182,7 +182,7 @@ class TestScatteringKernel:
             for m in range(1, n_modes + 1):
                 expect += 2.0 * g**m * math.cos(m * (a - ap))
             expect *= total / (2.0 * math.pi)
-            got = rt.kernel_eval(k, x, theta, theta_p)
+            got = k.eval(x, theta, theta_p)
             assert got == pytest.approx(expect, rel=1e-10)
 
     def test_anisotropy_bounds(self):

@@ -1,7 +1,9 @@
-"""Property tests of config parsing and the visible-set and forward commands.
+"""Property tests of config parsing and of every command.
 
 Flat config documents are drawn over the schema keys with ints, floats
-(including inf, nan and huge values), junk strings and cutoff arc lists.
+(including inf, nan and huge values), junk strings and cutoffs: mostly valid
+arcs cutoffs with one cone half-angle in (0, pi] per arc and a nonnegative
+transition width, else arc lists and cutoff keys with any values.
 Grids are held to at most 16x16 pixels and 16 directions, so every drawn
 run stays small.  Whatever the document, parsing either succeeds or raises
 ConfigError, visible-set exits 0 or 1 without a traceback, and a successful
@@ -20,9 +22,11 @@ most 12x12 pixels and 8 directions; its trace of the default disk source
 takes the analytic, jump-refined exit-chord path.  It exits 0, 1 or 2, and
 a successful report has no non-finite number.
 
-wavefront and smoothing run on measure's documents with the same checks:
-wavefront builds the normal-operator image of the disk source and its edge
-report, smoothing one scattering pass over seeded noise.
+wavefront, smoothing, normal and svd run on measure's documents with the
+same checks: wavefront builds the normal-operator image of the disk source
+and its edge report, smoothing one scattering pass over seeded noise, normal
+the normal-operator image and svd the visible and shadowed singular values;
+at these sizes normal and svd take the dense-matrix route.
 """
 
 import math
@@ -60,12 +64,33 @@ _arc = st.one_of(_valid_arc, _valid_arc, st.tuples(_angle, _angle).map(":".join)
 _arcs = st.one_of(st.lists(_arc, min_size=1, max_size=3).map(",".join), _junk)
 _cone = st.one_of(st.floats(min_value=0.0, max_value=math.pi).map(repr), _angle)
 _cones = st.one_of(st.lists(_cone, max_size=3).map(",".join), _junk)
-_transition = st.one_of(st.floats(min_value=0.0, max_value=2.0).map(repr),
-                        _angle)
+_width = st.floats(min_value=0.0, max_value=2.0).map(repr)
+_transition = st.one_of(_width, _angle)
 _cutoff_extras = {"cutoff.cones": _cones,
                   "cutoff.transition_width": _transition}
-# Mostly an arcs cutoff with its arcs, else any subset of the cutoff keys.
+
+
+# Mostly a cone wide enough for some disk edge to be microvisible.
+_half_angle = st.one_of(
+    st.floats(min_value=0.25, max_value=math.pi),
+    st.floats(min_value=0.25, max_value=math.pi),
+    st.floats(min_value=0.0, max_value=math.pi, exclude_min=True)).map(repr)
+
+
+@st.composite
+def _paired_cutoff(draw):
+    """A valid arcs cutoff: one cone half-angle in (0, pi] per arc."""
+    arcs = draw(st.lists(_valid_arc, min_size=1, max_size=3))
+    cones = draw(st.lists(_half_angle, min_size=len(arcs), max_size=len(arcs)))
+    return {"cutoff.preset": "arcs", "cutoff.arcs": ",".join(arcs),
+            "cutoff.cones": ",".join(cones),
+            "cutoff.transition_width": draw(_width)}
+
+
+# Mostly a valid arcs cutoff with paired cones, else an arcs cutoff with
+# any extras, else any subset of the cutoff keys.
 _cutoff = st.one_of(
+    _paired_cutoff(), _paired_cutoff(), _paired_cutoff(),
     st.fixed_dictionaries(
         {"cutoff.preset": st.just("arcs"), "cutoff.arcs": _arcs},
         optional=_cutoff_extras),
@@ -316,6 +341,34 @@ def test_wavefront_survives_any_config(text):
          "scattering.preset = isotropic\nscattering.total = 9.661882710679254e+152\n")
 def test_smoothing_survives_any_config(text):
     status, report = run_cli("smoothing", text)
+    event(f"exit {status}")
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert not NON_FINITE.search(_values(report))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+def test_normal_survives_any_config(text):
+    status, report = run_cli("normal", text)
+    event(f"exit {status}")
+    assert status in (0, 1, 2)
+    if status == 0:
+        assert not NON_FINITE.search(_values(report))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+# A grid above the dense cap and an empty eroded visible support both raised
+# a ValueError traceback from svd_injectivity.
+@example("grid.nx = 40\ngrid.ny = 40\ngrid.n_theta = 8\n")
+@example("grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\n"
+         "cutoff.preset = arcs\ncutoff.arcs = 0:0.3\n")
+@example("grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\ncutoff.preset = empty\n")
+def test_svd_survives_any_config(text):
+    status, report = run_cli("svd", text)
     event(f"exit {status}")
     assert status in (0, 1, 2)
     if status == 0:

@@ -254,16 +254,6 @@ class TestSolveForward:
         assert not err.value.report.converged
         assert len(err.value.report.residual_history) == 3
 
-    def test_non_finite_series_term_stops_at_once(self, monkeypatch):
-        calls = []
-        s = self._poisoned_solver(monkeypatch, calls)
-        f = bumped_source(s.grid, GEOM).reshape(-1, 1)
-        with pytest.raises(NonConvergenceError,
-                           match=r"residual is non-finite .* at term 3$") as err:
-            s.xv_apply_auto(f, CutoffSpec.full_data())
-        assert calls == [1, 2, 3]
-        assert err.value.report.iterations == 3
-
     def test_spectral_radius_scales_linearly_in_kernel(self):
         grid = Grid(24, 24, 1.0)
         rhos = []
@@ -908,17 +898,6 @@ class TestAdjointPairs:
         lhs = float(np.sum(s.xv_apply(f, spec, n_terms) * cot))
         rhs = float(np.sum(f * s.xv_transpose(cot, spec, n_terms)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
-
-    def test_auto_series_matches_fixed_length(self):
-        spec = CutoffSpec.full_data()
-        kernel = ScatteringKernel.isotropic(Grid(20, 20, 1.0), GEOM, 0.5)
-        s = self._solver(kernel)
-        rng = np.random.default_rng(4)
-        f = rng.standard_normal((s.grid.n_pixels, 1))
-        auto, n_terms = s.xv_apply_auto(f, spec)
-        assert n_terms >= 1
-        fixed = s.xv_apply(f, spec, n_terms)
-        np.testing.assert_allclose(auto, fixed, atol=1e-13)
 
 
 class TestBoundarySampling:
