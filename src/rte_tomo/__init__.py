@@ -56,7 +56,6 @@ from .phantoms import (
     ConstantPhantom,
     DiskPhantom,
     GaussianPhantom,
-    MultiPhantom,
     rasterize,
 )
 from .transport import (

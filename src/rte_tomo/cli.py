@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _apply_thread_cap, formats
-from .coefficients import AbsorptionField, ScatteringKernel
+from .coefficients import AbsorptionField, ScatteringKernel, ray_step
 from .geometry import CutoffSpec, DiskGeometry, Grid, visible_mask
 from .phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
 from .tomography import (
@@ -31,12 +31,7 @@ from .tomography import (
     visible_columns,
     wavefront_image,
 )
-from .transport import (
-    RAY_STEPS_PER_RADIUS,
-    NonConvergenceError,
-    TransportSolver,
-    apply_J,
-)
+from .transport import NonConvergenceError, TransportSolver, apply_J
 
 # Cap on the boundary-trace quadrature cells of one direction, estimated as
 # (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's ragged live cells
@@ -53,8 +48,9 @@ MAX_TRACE_CELLS = 2**21
 # the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction,
 # and its attenuation stack one block of STACK_BLOCK_NODES lattice nodes.
 # It also bounds nx * ny * (2 scattering.n_modes + 1)**2 for the
-# Henyey-Greenstein preset: its 2n + 1 separable terms give the solver's
-# scattering table (2n + 1)**2 floats a pixel, 32 MiB at the cap.
+# Henyey-Greenstein preset.  The solver keeps only 2n + 1 scattering floats a
+# pixel, so this is no memory bound: it keeps 2n + 1 <= 256 on the smallest
+# 8x8 grid, as _validate's certificate-overflow argument needs.
 MAX_PIXEL_DIRECTIONS = 2**22
 
 # Cap on wavefront edge samples.  The edge report tests microvisibility in
@@ -65,9 +61,6 @@ MAX_EDGE_SAMPLES = 2**16
 
 # Bound on scattering.total * 2 R1; see _validate.
 MAX_SCATTERING_REACH = 1e300
-
-COMMANDS = ("forward", "measure", "normal", "visible-set", "symbol", "svd",
-            "wavefront", "smoothing")
 
 
 class ConfigError(Exception):
@@ -237,7 +230,7 @@ def _validate(cfg):
             f"lies inside the source disk: geometry.R = {cfg.radius_inner:g} is too "
             f"small against geometry.R1 = {cfg.radius_outer:g} (raise geometry.R, "
             f"grid.nx or grid.ny, or lower geometry.R1)")
-    h_ray = cfg.solver_h_ray or cfg.radius_outer / RAY_STEPS_PER_RADIUS
+    h_ray = ray_step(cfg.radius_outer, cfg.solver_h_ray)
     cells = 0.5 * cfg.n_bdry * 2.0 * cfg.radius_outer / h_ray
     if cells > MAX_TRACE_CELLS:
         raise ConfigError(
@@ -420,7 +413,7 @@ def _make_solver(cfg):
                            sigma=build_absorption(cfg, grid, geom),
                            kernel=build_scattering(cfg, grid, geom),
                            n_theta=cfg.n_theta, n_bdry=cfg.n_bdry,
-                           h_ray=cfg.solver_h_ray or None, tol=cfg.solver_tol,
+                           h_ray=cfg.solver_h_ray, tol=cfg.solver_tol,
                            max_iter=cfg.solver_max_iter)
 
 
@@ -690,7 +683,7 @@ class _Parser(argparse.ArgumentParser):
 def main(argv=None):
     parser = _Parser(prog="rte-tomo",
                      description="Transport tomography batch commands")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_DISPATCH))
     parser.add_argument("--config", required=True, help="path to a config file")
     parser.add_argument("--out", help="output directory (overrides output.dir)")
     try:

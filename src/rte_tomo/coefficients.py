@@ -14,12 +14,12 @@ exactly multiplicative attenuation factors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._interp import bilinear_sample
-from .geometry import exit_points, smooth_step, unit_vector
+from .geometry import exit_points, smooth_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -324,16 +324,6 @@ class ScatteringKernel:
             out = out + theta_poly.eval(a) * kappa.sample(x, float(ap))
         return out
 
-    def convergence_sum(self):
-        """sum_j ||Theta_j||_{H^1} * sup |kappa_j|, the factorization size."""
-        total = 0.0
-        for theta_poly, kappa in self.modes:
-            sup = 0.0
-            for ang in np.linspace(0.0, TWO_PI, 4 * max(kappa.max_order, 1) + 9):
-                sup = max(sup, float(np.abs(kappa.slice_raster(ang)).max()))
-            total += theta_poly.h1_norm() * sup
-        return total
-
 
 # ---------------------------------------------------------------------------
 # attenuation along rays
@@ -369,10 +359,20 @@ def ray_absorption(sigma, geom, x, theta, radii, h_ray):
     return cum[k] + 0.5 * frac * (svals[k] + s_end)
 
 
+def ray_step(radius_outer, h_ray=None):
+    """The attenuation and exit-chord step.
+
+    A positive h_ray is returned as given; None or 0 selects the default
+    radius_outer / RAY_STEPS_PER_RADIUS.  A negative or nan step is refused.
+    """
+    if h_ray is not None and not h_ray >= 0.0:
+        raise ValueError(f"h_ray must be nonnegative (0 selects the default), got {h_ray}")
+    return h_ray or radius_outer / RAY_STEPS_PER_RADIUS
+
+
 def attenuation_E(sigma, geom, x, theta, h_ray=None):
     """Attenuation exp(-integral of sigma from x to the boundary along theta)."""
-    if h_ray is None:
-        h_ray = geom.radius_outer / RAY_STEPS_PER_RADIUS
+    h_ray = ray_step(geom.radius_outer, h_ray)
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _, tau = exit_points(geom, x, theta)
@@ -380,16 +380,15 @@ def attenuation_E(sigma, geom, x, theta, h_ray=None):
     return float(np.exp(-g[0]))
 
 
-def attenuation_Sigma(sigma, geom, x, s, theta_prime, h_ray=None):
+def attenuation_Sigma(sigma, geom, x, s, theta_prime):
     """Partial attenuation over the path of length s ending at x along theta'."""
     if s < 0.0:
         raise ValueError("path length s must be >= 0")
-    if h_ray is None:
-        h_ray = geom.radius_outer / RAY_STEPS_PER_RADIUS
     x = np.asarray(x, dtype=float)
     theta_prime = np.asarray(theta_prime, dtype=float)
     _, tau = exit_points(geom, x, theta_prime)
-    g = ray_absorption(sigma, geom, x, theta_prime, [float(tau), float(tau) + s], h_ray)
+    g = ray_absorption(sigma, geom, x, theta_prime, [float(tau), float(tau) + s],
+                       ray_step(geom.radius_outer))
     return float(np.exp(-(g[1] - g[0])))
 
 

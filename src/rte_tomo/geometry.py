@@ -147,15 +147,6 @@ class Ray:
         t = np.asarray(t, dtype=float)
         return o + t[..., None] * d if t.ndim else o + t * d
 
-    def validate(self, geom, rtol=1e-12):
-        if not (self.t_minus <= 0.0 <= self.t_plus):
-            raise ValueError("ray parameter range must bracket 0")
-        tol = rtol * geom.radius_outer
-        for t in (self.t_minus, self.t_plus):
-            r = np.linalg.norm(self.point(t))
-            if abs(r - geom.radius_outer) > tol:
-                raise ValueError("ray endpoint is off the outer circle")
-
 
 def _check_unit(theta):
     theta = np.asarray(theta, dtype=float)

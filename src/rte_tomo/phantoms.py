@@ -60,36 +60,6 @@ class GaussianPhantom:
 
 
 @dataclass(frozen=True)
-class MultiPhantom:
-    """Sum of component phantoms."""
-
-    parts: tuple
-
-    def __call__(self, points):
-        out = 0.0
-        for p in self.parts:
-            out = out + p(points)
-        return out
-
-    def jump_circles(self):
-        out = []
-        for p in self.parts:
-            if hasattr(p, "jump_circles"):
-                out.extend(p.jump_circles())
-        return out
-
-    def edge_points(self, n):
-        pts, normals, jumps = [], [], []
-        for p in self.parts:
-            if hasattr(p, "edge_points"):
-                a, b, c = p.edge_points(n)
-                pts.append(a)
-                normals.append(b)
-                jumps.append(c)
-        return (np.concatenate(pts), np.concatenate(normals), np.concatenate(jumps))
-
-
-@dataclass(frozen=True)
 class ConstantPhantom:
     """Constant value on the inner disk of the given radius."""
 

@@ -32,14 +32,16 @@ from .geometry import (
     uniform_angles,
     unit_vector,
 )
-from .transport import BoundaryData, ray_nodes, ray_points
+from .transport import BoundaryData, ray_nodes, ray_points, source_raster
 
 TWO_PI = 2.0 * math.pi
 
 # Unit-source columns measured per xv_apply call during matrix assembly.
 ASSEMBLY_BATCH = 64
-# Pixel rows per block of the singular-kernel quadrature.
+# Pixel rows per block of the singular-kernel quadrature, and the direction
+# angles its attenuation and cutoff profiles are tabulated at.
 KERNEL_CHUNK = 256
+KERNEL_N_THETA = 64
 # Largest problem assembled as a dense matrix.
 DENSE_MAX_PIXELS = 1024
 DENSE_MAX_THETA = 32
@@ -155,7 +157,7 @@ def ray_transform(solver, spec, f=None, phantom=None):
     return BoundaryData(bgrid=solver.bgrid, values=values)
 
 
-def adjoint_ray_transform(spec, sigma, geom, h, grid=None, step=None):
+def adjoint_ray_transform(spec, sigma, geom, h, step=None):
     """Pixelwise angular sum E * chi^# * h^#, the adjoint quadrature.
 
     h^# extends boundary data along rays: each pixel and direction map to
@@ -165,10 +167,10 @@ def adjoint_ray_transform(spec, sigma, geom, h, grid=None, step=None):
     on incoming pairs is structurally zero and must not bleed into
     near-tangential exits, so the interpolation never crosses the tangent
     points; beyond the last outgoing sample it clamps to it.  This
-    discretization is independent of the forward chord quadrature.
+    discretization is independent of the forward chord quadrature.  The
+    pixel raster is the absorption field's.
     """
-    if grid is None:
-        grid = sigma.grid
+    grid = sigma.grid
     bg = h.bgrid
     pts = grid.points_flat()
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
@@ -213,7 +215,7 @@ class SymbolField:
             raise ValueError("symbol values must be finite and nonnegative")
 
 
-def principal_symbol(spec, sigma, geom, x, xi, h_ray=None):
+def principal_symbol(spec, sigma, geom, x, xi):
     """b0(x, xi) at a single point and unit covector.
 
     The codirection integral over {theta . xi = 0} collapses to the two
@@ -228,7 +230,7 @@ def principal_symbol(spec, sigma, geom, x, xi, h_ray=None):
         chi = cutoff_extended(spec, geom, x, th)
         if chi == 0.0:
             continue
-        e = attenuation_E(sigma, geom, x, th, h_ray=h_ray)
+        e = attenuation_E(sigma, geom, x, th)
         total += (e * chi) ** 2
     return TWO_PI * total
 
@@ -273,11 +275,13 @@ def _singular_pixel_weight(hx, hy):
     return 4.0 * (a * math.asinh(b / a) + b * math.asinh(a / b))
 
 
-def _angle_lookup(stack_t, cols, ang, n_angles):
+def _angle_lookup(stack_t, cols, ang):
     """Periodic linear interpolation of per-pixel angle profiles.
 
-    stack_t is (N, n_angles); cols indexes pixels; ang is in radians.
+    stack_t is (N, n_angles) over uniform angles; cols indexes pixels; ang
+    is in radians.
     """
+    n_angles = stack_t.shape[1]
     t = np.mod(ang, TWO_PI) * (n_angles / TWO_PI)
     i0 = np.floor(t).astype(np.intp) % n_angles
     w = t - np.floor(t)
@@ -285,19 +289,18 @@ def _angle_lookup(stack_t, cols, ang, n_angles):
     return stack_t[cols, i0] * (1.0 - w) + stack_t[cols, i1] * w
 
 
-def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64):
+def normal_operator_kernel(spec, sigma, geom, f):
     """Apply the ballistic normal operator by direct singular quadrature.
 
     Off-diagonal pairs use the kernel w(x, y)/|y - x| with
     w = sum over the two orientations of (E chi^#)(x) (E chi^#)(y); the
     cutoff at the shared exit is squared because both factors see the same
-    exit point.  The diagonal pixel integrates 1/r in closed form.
+    exit point.  The diagonal pixel integrates 1/r in closed form.  The
+    pixel raster is the absorption field's; the weights are tabulated at
+    KERNEL_N_THETA directions and interpolated in angle.
     """
-    if grid is None:
-        grid = sigma.grid
-    f = np.asarray(f, dtype=float)
-    if f.shape != (grid.ny, grid.nx):
-        raise ValueError("source raster shape does not match the grid")
+    grid = sigma.grid
+    f = source_raster(f, grid)
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
     f_flat = f.reshape(-1) * inside
     pts = grid.points_flat()
@@ -309,10 +312,10 @@ def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64):
     if plain:
         diag_weight = np.full(grid.n_pixels, 2.0)
     else:
-        angles = uniform_angles(n_theta)
+        angles = uniform_angles(KERNEL_N_THETA)
         fstack = attenuation_stack(sigma, geom, grid, angles)
         fstack *= cutoff_stack(spec, geom, grid, angles)
-        fstack_t = np.ascontiguousarray(fstack.T)      # (N, n_theta)
+        fstack_t = np.ascontiguousarray(fstack.T)      # (N, KERNEL_N_THETA)
         diag_weight = 2.0 * np.mean(fstack**2, axis=0)
     rows = np.nonzero(inside)[0]
     src = np.nonzero(inside & (f_flat != 0.0))[0]
@@ -332,11 +335,11 @@ def normal_operator_kernel(spec, sigma, geom, f, grid=None, n_theta=64):
             ang = np.arctan2(dy[..., 1], dy[..., 0])
             rcols = np.broadcast_to(r[:, None], ang.shape)
             scols = np.broadcast_to(src[None, :], ang.shape)
-            w = (_angle_lookup(fstack_t, rcols, ang, n_theta)
-                 * _angle_lookup(fstack_t, scols, ang, n_theta))
+            w = (_angle_lookup(fstack_t, rcols, ang)
+                 * _angle_lookup(fstack_t, scols, ang))
             ang_op = ang + math.pi
-            w = w + (_angle_lookup(fstack_t, rcols, ang_op, n_theta)
-                     * _angle_lookup(fstack_t, scols, ang_op, n_theta))
+            w = w + (_angle_lookup(fstack_t, rcols, ang_op)
+                     * _angle_lookup(fstack_t, scols, ang_op))
         same = dist < 0.5 * min(grid.hx, grid.hy)
         vals = np.where(same, 0.0, w / dist) * src_f[None, :]
         out[r] = area * vals.sum(axis=1)

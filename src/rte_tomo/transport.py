@@ -51,8 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._interp import BilinearGather
-from .coefficients import (RAY_STEPS_PER_RADIUS, AbsorptionField,
-                           ScatteringKernel, trig_basis)
+from .coefficients import AbsorptionField, ScatteringKernel, ray_step, trig_basis
 from .geometry import uniform_angles, unit_vector
 
 TWO_PI = 2.0 * math.pi
@@ -203,15 +202,22 @@ def phase_norm(values, grid):
     return np.sqrt(w * np.sum(values**2, axis=tuple(range(values.ndim - 1))))
 
 
-def apply_J(f, grid, n_theta=64, geom=None):
-    """Broadcast a pixel source raster over the direction grid."""
+def source_raster(f, grid, geom=None):
+    """f as a float (ny, nx) raster on the grid.
+
+    With geom, the raster must also vanish outside the inner disk.
+    """
     raster = np.asarray(f, dtype=float)
     if raster.shape != (grid.ny, grid.nx):
         raise ValueError("source raster shape does not match the grid")
-    if geom is not None:
-        outside = raster[~grid.disk_mask(geom.radius_inner)]
-        if np.any(outside != 0.0):
-            raise ValueError("source must vanish outside the inner disk")
+    if geom is not None and np.any(raster[~grid.disk_mask(geom.radius_inner)] != 0.0):
+        raise ValueError("source must vanish outside the inner disk")
+    return raster
+
+
+def apply_J(f, grid, n_theta=64, geom=None):
+    """Broadcast a pixel source raster over the direction grid."""
+    raster = source_raster(f, grid, geom)
     return PhaseSpaceField(grid=grid, theta_angles=uniform_angles(n_theta),
                            values=np.broadcast_to(raster, (n_theta,) + raster.shape).copy())
 
@@ -262,9 +268,7 @@ class TransportSolver:
         if self.sigma.grid != grid or self.kernel.grid != grid:
             raise ValueError("coefficient grids do not match the solver grid")
         self.n_theta = int(n_theta)
-        if h_ray is None:
-            h_ray = geom.radius_outer / RAY_STEPS_PER_RADIUS
-        self.h_ray = h_ray
+        self.h_ray = ray_step(geom.radius_outer, h_ray)
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.theta_angles = uniform_angles(self.n_theta)
@@ -319,25 +323,22 @@ class TransportSolver:
         return self._rot
 
     def _k_matrices(self):
+        """Kernel tables, one row per (term j, mode of kappa_j), in order.
+
+        trig (T, n_theta) holds each mode's harmonic and ka (T, N) its
+        raster; theta_mat (T, n_theta) holds its term's Theta_j.  A zero
+        kernel has no rows.
+        """
         if self._k_tables is None:
-            keys = []
-            for _, kappa in self.kernel.modes:
-                for m in kappa.modes:
-                    key = (m.order, m.phase)
-                    if key not in keys:
-                        keys.append(key)
-            M = max(len(keys), 1)
-            J = max(len(self.kernel.modes), 1)
-            trig = np.zeros((M, self.n_theta))
-            for i, (order, phase) in enumerate(keys):
-                trig[i] = trig_basis(order, phase, self.theta_angles)
-            ka = np.zeros((J, M, self.grid.n_pixels))
-            theta_mat = np.zeros((J, self.n_theta))
-            for j, (theta_poly, kappa) in enumerate(self.kernel.modes):
-                theta_mat[j] = theta_poly.eval(self.theta_angles)
-                for m in kappa.modes:
-                    i = keys.index((m.order, m.phase))
-                    ka[j, i] += m.raster.reshape(-1)
+            rows = [(theta_poly, m) for theta_poly, kappa in self.kernel.modes
+                    for m in kappa.modes]
+            trig = np.zeros((len(rows), self.n_theta))
+            ka = np.zeros((len(rows), self.grid.n_pixels))
+            theta_mat = np.zeros((len(rows), self.n_theta))
+            for t, (theta_poly, m) in enumerate(rows):
+                trig[t] = trig_basis(m.order, m.phase, self.theta_angles)
+                ka[t] = m.raster.reshape(-1)
+                theta_mat[t] = theta_poly.eval(self.theta_angles)
             self._k_tables = (trig, ka, theta_mat)
         return self._k_tables
 
@@ -351,20 +352,14 @@ class TransportSolver:
         return values.sum(axis=0)
 
     def k_apply(self, values):
-        if self.kernel.is_zero:
-            return np.zeros_like(values)
         trig, ka, theta_mat = self._k_matrices()
-        moments = self.w_theta * np.einsum("mq,qnb->mnb", trig, values)
-        integrals = np.einsum("jmn,mnb->jnb", ka, moments)
-        return np.einsum("jq,jnb->qnb", theta_mat, integrals)
+        moments = self.w_theta * np.einsum("tq,qnb->tnb", trig, values)
+        return np.einsum("tq,tnb->qnb", theta_mat, ka[..., None] * moments)
 
     def k_transpose(self, values):
-        if self.kernel.is_zero:
-            return np.zeros_like(values)
         trig, ka, theta_mat = self._k_matrices()
-        integrals = np.einsum("jq,qnb->jnb", theta_mat, values)
-        moments = np.einsum("jmn,jnb->mnb", ka, integrals)
-        return self.w_theta * np.einsum("mq,mnb->qnb", trig, moments)
+        integrals = np.einsum("tq,qnb->tnb", theta_mat, values)
+        return self.w_theta * np.einsum("tq,tnb->qnb", trig, ka[..., None] * integrals)
 
     def _to_columns(self, flat):
         """(n_theta * N, B) rotated-frame values as (nx, n_theta, ny, B) columns."""
@@ -587,7 +582,7 @@ class TransportSolver:
         """Whether every discrete kernel entry is nonnegative.
 
         Pixel n scatters direction q' into q with weight
-        w_theta * (theta_mat^T ka[:, :, n] trig)[q, q'].  Nonnegative factor
+        w_theta * (theta_mat^T diag(ka[:, n]) trig)[q, q'].  Nonnegative factor
         tables settle it at once; otherwise the products are checked in
         chunks of at most SIGN_CHECK_ENTRIES entries.
         """
@@ -595,8 +590,8 @@ class TransportSolver:
         if all(np.all(t >= 0.0) for t in (trig, ka, theta_mat)):
             return True
         chunk = max(1, SIGN_CHECK_ENTRIES // self.n_theta**2)
-        for first in range(0, ka.shape[2], chunk):
-            left = np.einsum("jq,jmn->nqm", theta_mat, ka[:, :, first:first + chunk])
+        for first in range(0, ka.shape[1], chunk):
+            left = np.einsum("tq,tn->nqt", theta_mat, ka[:, first:first + chunk])
             if np.any(left @ trig < 0.0):
                 return False
         return True
@@ -621,7 +616,7 @@ class TransportSolver:
         if not self._kernel_nonnegative():
             return None, 0
         _, ka, _ = self._k_matrices()
-        profile = np.abs(ka).max(axis=(0, 1))
+        profile = np.abs(ka).max(axis=0)
         support = profile > 0.0
         x = np.zeros((self.n_theta, self.grid.n_pixels, 1))
         x[:, support, 0] = profile[support] / profile.max()
@@ -694,12 +689,7 @@ class TransportSolver:
         if phantom is not None:
             raster = rasterize(phantom, self.grid, self.geom)
         else:
-            raster = np.asarray(f, dtype=float)
-            if raster.shape != (self.grid.ny, self.grid.nx):
-                raise ValueError("source raster shape does not match the grid")
-            outside = raster.reshape(-1)[~self._omega_flat]
-            if np.any(outside != 0.0):
-                raise ValueError("source must vanish outside the inner disk")
+            raster = source_raster(f, self.grid, self.geom)
         return raster.reshape(-1, 1)
 
     def solve(self, f=None, phantom=None):

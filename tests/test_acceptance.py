@@ -105,8 +105,7 @@ def test_criterion_01_adjoint_identity():
         h = boundary_harmonics(solver0.bgrid, rng, max_order=2)
         fwd = rt.ray_transform(solver0, spec_soft, f)
         hb = BoundaryData(bgrid=solver0.bgrid, values=h)
-        back = rt.adjoint_ray_transform(spec_soft, sigma, GEOM, hb, grid=grid,
-                                        step=grid.hx / 4)
+        back = rt.adjoint_ray_transform(spec_soft, sigma, GEOM, hb, step=grid.hx / 4)
         lhs = fwd.dot(hb)
         rhs = grid.pixel_area * float(np.sum(f * back))
         nf = math.sqrt(grid.pixel_area * float(np.sum(f * f)))
@@ -276,10 +275,10 @@ def test_criterion_07_normal_operator_paths_cross_validate():
     f = np.exp(-4.0 * ((c[..., 0] - 0.2) ** 2 + c[..., 1] ** 2))
     f *= smooth_step(GEOM.radius_inner - np.hypot(c[..., 0], c[..., 1]), 0.25)
     f *= grid.disk_mask(GEOM.radius_inner)
-    direct = rt.normal_operator_kernel(full, sigma0, GEOM, f, grid=grid)
+    direct = rt.normal_operator_kernel(full, sigma0, GEOM, f)
     fwd = rt.ray_transform(TransportSolver(GEOM, grid, sigma0, n_theta=64, n_bdry=512),
                            full, f)
-    composed = rt.adjoint_ray_transform(full, sigma0, GEOM, fwd, grid=grid)
+    composed = rt.adjoint_ray_transform(full, sigma0, GEOM, fwd)
     mask = grid.disk_mask(GEOM.radius_inner)
     rel_kernel = float(np.linalg.norm((direct - composed)[mask])
                        / np.linalg.norm(composed[mask]))

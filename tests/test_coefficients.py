@@ -189,10 +189,6 @@ class TestScatteringKernel:
         with pytest.raises(ValueError):
             rt.ScatteringKernel.henyey_greenstein(GRID, GEOM, 0.5, 1.0)
 
-    def test_convergence_sum_positive(self):
-        k = rt.ScatteringKernel.isotropic(GRID, GEOM, 0.5)
-        assert k.convergence_sum() > 0.0
-
 
 class TestTrigPoly:
     def test_eval_matches_cosine_series(self):

@@ -22,11 +22,14 @@ most 12x12 pixels and 8 directions; its trace of the default disk source
 takes the analytic, jump-refined exit-chord path.  It exits 0, 1 or 2, and
 a successful report has no non-finite number.
 
-wavefront, smoothing, normal and svd run on measure's documents with the
-same checks: wavefront builds the normal-operator image of the disk source
-and its edge report, smoothing one scattering pass over seeded noise, normal
-the normal-operator image and svd the visible and shadowed singular values;
-at these sizes normal and svd take the dense-matrix route.
+wavefront, smoothing and normal run on measure's documents with the same
+checks: wavefront builds the normal-operator image of the disk source and
+its edge report, smoothing one scattering pass over seeded noise and normal
+the normal-operator image.  svd, the visible and shadowed singular values,
+runs on the same keys but on grids of 12 to 16 pixels a side and mostly one
+cone-free arc of at least half a turn, so its visible set survives the
+two-pixel erosion.  At these sizes normal and svd take the dense-matrix
+route.
 """
 
 import math
@@ -158,14 +161,15 @@ _trace_size = st.fixed_dictionaries({
 
 
 @st.composite
-def forward_documents(draw, sizes=None, cutoff=False):
-    """forward's documents; sizes draws the grid keys, cutoff adds a cutoff."""
+def forward_documents(draw, sizes=None, cutoff=None):
+    """forward's documents; sizes draws the grid keys, the cutoff strategy
+    adds cutoff keys."""
     if sizes is None:
         entries = {key: draw(_forward_count) for key in GRID_KEYS}
     else:
         entries = draw(sizes)
-    if cutoff:
-        entries.update(draw(_cutoff))
+    if cutoff is not None:
+        entries.update(draw(cutoff))
     entries.update(draw(_others(1, skip=_FORWARD_KEYS)))
     entries.update(draw(_scattering))
     entries.update(draw(_trace_size))
@@ -244,7 +248,7 @@ _measure_sizes = st.fixed_dictionaries({
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+@given(forward_documents(sizes=_measure_sizes, cutoff=_cutoff))
 # The analytic trace of the default disk source through a half-arc cutoff,
 # with and without a scattering source beside it.
 @example(_SMALL_FORWARD + "cutoff.preset = arcs\ncutoff.arcs = 0:3.14\n"
@@ -319,7 +323,7 @@ def test_outer_radius_with_overflowing_square_is_rejected():
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+@given(forward_documents(sizes=_measure_sizes, cutoff=_cutoff))
 # A cone too narrow for any edge of the disk source to be microvisible left
 # the visible median at 0 and the report gave response_ratio = inf at exit 0.
 @example("grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\n"
@@ -334,7 +338,7 @@ def test_wavefront_survives_any_config(text):
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+@given(forward_documents(sizes=_measure_sizes, cutoff=_cutoff))
 # A scattering total near 1e153 overflowed the power spectrum of the smoothed
 # noise, and the report gave high_freq_fraction_after = nan at exit 0.
 @example("grid.nx = 8\ngrid.ny = 8\ngrid.n_theta = 8\ngrid.n_bdry = 8\n"
@@ -349,7 +353,7 @@ def test_smoothing_survives_any_config(text):
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+@given(forward_documents(sizes=_measure_sizes, cutoff=_cutoff))
 def test_normal_survives_any_config(text):
     status, report = run_cli("normal", text)
     event(f"exit {status}")
@@ -358,9 +362,25 @@ def test_normal_survives_any_config(text):
         assert not NON_FINITE.search(_values(report))
 
 
+# svd grids: 12 to 16 pixels a side, mostly 8 directions, so the visible set
+# keeps pixels after svd's two-pixel erosion and the dense route is taken.
+_svd_sizes = st.fixed_dictionaries({
+    "grid.nx": st.sampled_from([str(n) for n in range(12, 17)]),
+    "grid.ny": st.sampled_from([str(n) for n in range(12, 17)]),
+    "grid.n_theta": st.sampled_from(["8"] * 10 + ["7", "x"]),
+})
+# Mostly one arc of at least half a turn and no cone, whose eroded visible
+# set is rarely empty, else any cutoff.
+_wide_arc = st.tuples(
+    st.floats(min_value=-7.0, max_value=7.0),
+    st.floats(min_value=math.pi, max_value=2.0 * math.pi),
+).map(lambda arc: {"cutoff.preset": "arcs", "cutoff.arcs": f"{arc[0]!r}:{arc[0] + arc[1]!r}"})
+_svd_cutoff = st.one_of(_wide_arc, _wide_arc, _wide_arc, _cutoff)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(forward_documents(sizes=_measure_sizes, cutoff=True))
+@given(forward_documents(sizes=_svd_sizes, cutoff=_svd_cutoff))
 # A grid above the dense cap and an empty eroded visible support both raised
 # a ValueError traceback from svd_injectivity.
 @example("grid.nx = 40\ngrid.ny = 40\ngrid.n_theta = 8\n")

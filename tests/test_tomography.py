@@ -99,8 +99,7 @@ class TestAdjointRayTransform:
         bg = BoundaryGrid(GEOM, 16, 8)
         h = BoundaryData(bgrid=bg, values=np.zeros((16, 8)))
         out = adjoint_ray_transform(CutoffSpec.full_data(),
-                                    AbsorptionField.zero(grid), GEOM, h,
-                                    grid=grid)
+                                    AbsorptionField.zero(grid), GEOM, h)
         assert np.all(out == 0.0)
 
     def test_constant_data_gives_two_pi(self):
@@ -110,8 +109,7 @@ class TestAdjointRayTransform:
         bg = BoundaryGrid(GEOM, 32, 16)
         h = BoundaryData(bgrid=bg, values=np.ones((32, 16)))
         out = adjoint_ray_transform(CutoffSpec.full_data(),
-                                    AbsorptionField.zero(grid), GEOM, h,
-                                    grid=grid)
+                                    AbsorptionField.zero(grid), GEOM, h)
         inside = grid.disk_mask(GEOM.radius_outer)
         np.testing.assert_allclose(out[inside], TWO_PI, rtol=1e-12)
         assert np.all(out[~inside] == 0.0)
@@ -134,8 +132,7 @@ class TestAdjointRayTransform:
         h = BoundaryData(bgrid=bg, values=np.broadcast_to(
             hv, (bg.n_bdry, bg.n_theta)).copy())
         lhs = fwd.dot(h)
-        back = adjoint_ray_transform(spec, sigma, GEOM, h, grid=grid,
-                                     step=grid.hx / 4)
+        back = adjoint_ray_transform(spec, sigma, GEOM, h, step=grid.hx / 4)
         rhs = float(np.sum(f * back)) * grid.pixel_area
         assert lhs == pytest.approx(rhs, rel=1e-3)
 
@@ -145,7 +142,7 @@ class TestNormalOperatorKernel:
         grid = Grid(32, 32, 1.2)
         out = normal_operator_kernel(CutoffSpec.full_data(),
                                      AbsorptionField.zero(grid), GEOM,
-                                     np.zeros((32, 32)), grid=grid)
+                                     np.zeros((32, 32)))
         assert np.all(out == 0.0)
 
     def test_empty_cutoff(self):
@@ -153,8 +150,7 @@ class TestNormalOperatorKernel:
         c = grid.centers()
         f = taper_source(grid, GEOM, np.exp(-4.0 * (c[..., 0] ** 2 + c[..., 1] ** 2)))
         out = normal_operator_kernel(CutoffSpec.empty(),
-                                     AbsorptionField.zero(grid), GEOM, f,
-                                     grid=grid)
+                                     AbsorptionField.zero(grid), GEOM, f)
         assert np.all(out == 0.0)
 
     def test_matches_composition_of_forward_and_adjoint(self):
@@ -166,10 +162,10 @@ class TestNormalOperatorKernel:
         c = grid.centers()
         f = taper_source(grid, GEOM,
                          np.exp(-4.0 * ((c[..., 0] - 0.2) ** 2 + c[..., 1] ** 2)))
-        direct = normal_operator_kernel(spec, sigma, GEOM, f, grid=grid)
+        direct = normal_operator_kernel(spec, sigma, GEOM, f)
         solver = TransportSolver(GEOM, grid, sigma=sigma, n_theta=64, n_bdry=512)
         fwd = ray_transform(solver, spec, f)
-        composed = adjoint_ray_transform(spec, sigma, GEOM, fwd, grid=grid)
+        composed = adjoint_ray_transform(spec, sigma, GEOM, fwd)
         mask = grid.disk_mask(GEOM.radius_inner)
         num = np.linalg.norm((direct - composed)[mask])
         den = np.linalg.norm(composed[mask])

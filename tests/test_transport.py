@@ -7,7 +7,8 @@ import pytest
 
 from rte_tomo._interp import BilinearGather
 from rte_tomo import transport
-from rte_tomo.coefficients import AbsorptionField, ScatteringKernel, TrigPoly
+from rte_tomo.coefficients import (AbsorptionField, AngularField, AngularMode,
+                                   ScatteringKernel, TrigPoly, attenuation_E)
 from rte_tomo.geometry import CutoffSpec, DiskGeometry, Grid
 from rte_tomo.phantoms import DiskPhantom
 from rte_tomo.tomography import ray_transform
@@ -33,6 +34,26 @@ def bumped_source(grid, geom, amplitude=1.0):
     vals = amplitude * np.exp(-6.0 * r2)
     vals[r2 > (0.9 * geom.radius_inner) ** 2] = 0.0
     return vals
+
+
+def shared_harmonic_kernel(grid, geom):
+    """Two kernel terms whose kappa share the harmonic (1, "cos"), one of
+    them with two modes of it, so no term is a single harmonic."""
+    c = grid.centers()
+    taper = bumped_source(grid, geom)
+    kappa_a = AngularField(grid, (
+        AngularMode(1, "cos", 0.05 * taper),
+        AngularMode(1, "cos", 0.03 * taper * (1.0 + c[..., 0])),
+        AngularMode(0, "cos", 0.02 * taper),
+    ))
+    kappa_b = AngularField(grid, (
+        AngularMode(1, "cos", -0.04 * taper * (1.0 - c[..., 1])),
+        AngularMode(2, "sin", 0.01 * taper),
+    ))
+    return ScatteringKernel(grid, (
+        (TrigPoly(cos_coef=(0.5, 1.0), sin_coef=(0.0, 0.0)), kappa_a),
+        (TrigPoly(cos_coef=(0.0, 0.0, 0.0), sin_coef=(0.0, 0.3, 0.0)), kappa_b),
+    ))
 
 
 def apply_to(op, values):
@@ -96,29 +117,41 @@ class TestApplyK:
                                        total * f[core], atol=1e-12)
 
     def test_single_harmonic_against_direct_quadrature(self):
-        kernel = ScatteringKernel.henyey_greenstein(GRID, GEOM, 0.5, 0.4)
         n_theta = 24
         angles = TWO_PI * np.arange(n_theta) / n_theta
         rng = np.random.default_rng(11)
         a = bumped_source(GRID, GEOM) * rng.standard_normal((GRID.ny, GRID.nx))
         vals = a[None, :, :] * np.cos(angles)[:, None, None]
-        s = TransportSolver(GEOM, GRID, kernel=kernel, n_theta=n_theta, n_bdry=8)
-        ku = apply_to(s.k_apply, vals)
+        for kernel in (ScatteringKernel.henyey_greenstein(GRID, GEOM, 0.5, 0.4),
+                       shared_harmonic_kernel(GRID, GEOM)):
+            s = TransportSolver(GEOM, GRID, kernel=kernel, n_theta=n_theta, n_bdry=8)
+            ku = apply_to(s.k_apply, vals)
 
-        # Oracle: direct Riemann sum over the same direction grid using the
-        # kernel's pointwise eval, assembled without the solver's matrices.
-        pts = GRID.centers().reshape(-1, 2)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        oracle = np.zeros((n_theta, len(pts)))
-        flat_u = vals.reshape(n_theta, -1)
-        for q in range(n_theta):
-            acc = np.zeros(len(pts))
-            for qp in range(n_theta):
-                kv = kernel.eval(pts, dirs[q], dirs[qp])
-                acc += kv * flat_u[qp]
-            oracle[q] = acc * (TWO_PI / n_theta)
-        np.testing.assert_allclose(ku.reshape(n_theta, -1), oracle,
-                                   atol=1e-10)
+            # Oracle: direct Riemann sum over the same direction grid using
+            # the kernel's pointwise eval, assembled without the solver's
+            # matrices.
+            pts = GRID.centers().reshape(-1, 2)
+            dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+            oracle = np.zeros((n_theta, len(pts)))
+            flat_u = vals.reshape(n_theta, -1)
+            for q in range(n_theta):
+                acc = np.zeros(len(pts))
+                for qp in range(n_theta):
+                    kv = kernel.eval(pts, dirs[q], dirs[qp])
+                    acc += kv * flat_u[qp]
+                oracle[q] = acc * (TWO_PI / n_theta)
+            np.testing.assert_allclose(ku.reshape(n_theta, -1), oracle,
+                                       atol=1e-10)
+
+    def test_kernel_table_has_one_row_per_term(self):
+        kernel = ScatteringKernel.henyey_greenstein(GRID, GEOM, 0.5, 0.4, n_modes=3)
+        s = TransportSolver(GEOM, GRID, kernel=kernel, n_theta=8, n_bdry=8)
+        trig, ka, theta_mat = s._k_matrices()
+        assert ka.shape == (7, GRID.n_pixels)
+        assert trig.shape == theta_mat.shape == (7, 8)
+        s = TransportSolver(GEOM, GRID, kernel=shared_harmonic_kernel(GRID, GEOM),
+                            n_theta=8, n_bdry=8)
+        assert s._k_matrices()[1].shape == (5, GRID.n_pixels)
 
 
 class TestApplyT1Inverse:
@@ -434,6 +467,23 @@ class TestTracePlus:
         direct = ray_transform(s, CutoffSpec.full_data(),
                                phantom=DiskPhantom(radius=0.5, value=1.0))
         np.testing.assert_allclose(traced.values, direct.values, atol=1e-8)
+
+    def test_zero_h_ray_selects_the_default_step(self):
+        # h_ray = 0 means the default R1 / 256 in the library as in the CLI.
+        grid = Grid(16, 16, 1.0)
+        sigma = AbsorptionField.constant(grid, GEOM, 0.3)
+        zero = TransportSolver(GEOM, grid, sigma=sigma, n_theta=8, n_bdry=16, h_ray=0.0)
+        default = TransportSolver(GEOM, grid, sigma=sigma, n_theta=8, n_bdry=16)
+        assert zero.h_ray == default.h_ray == GEOM.radius_outer / 256
+        f = bumped_source(grid, GEOM)
+        np.testing.assert_array_equal(zero.measurement(CutoffSpec.full_data(), f=f)[0].values,
+                                      default.measurement(CutoffSpec.full_data(), f=f)[0].values)
+        x, theta = (0.1, 0.2), (0.6, 0.8)
+        assert attenuation_E(sigma, GEOM, x, theta, h_ray=0.0) == attenuation_E(sigma, GEOM, x, theta)
+
+    def test_negative_h_ray_is_refused_at_construction(self):
+        with pytest.raises(ValueError, match="h_ray must be nonnegative"):
+            TransportSolver(GEOM, Grid(16, 16, 1.0), n_theta=8, n_bdry=16, h_ray=-0.05)
 
 
 class TestMeasureXV:
@@ -869,14 +919,15 @@ class TestAdjointPairs:
 
     def test_scattering_transpose(self):
         grid = Grid(20, 20, 1.0)
-        kernel = ScatteringKernel.henyey_greenstein(grid, GEOM, 0.6, 0.3)
-        s = self._solver(kernel)
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal((8, s.grid.n_pixels, 1))
-        w = rng.standard_normal((8, s.grid.n_pixels, 1))
-        lhs = float(np.sum(s.k_apply(v) * w))
-        rhs = float(np.sum(v * s.k_transpose(w)))
-        assert lhs == pytest.approx(rhs, rel=1e-12)
+        for kernel in (ScatteringKernel.henyey_greenstein(grid, GEOM, 0.6, 0.3),
+                       shared_harmonic_kernel(grid, GEOM)):
+            s = self._solver(kernel)
+            rng = np.random.default_rng(1)
+            v = rng.standard_normal((8, s.grid.n_pixels, 1))
+            w = rng.standard_normal((8, s.grid.n_pixels, 1))
+            lhs = float(np.sum(s.k_apply(v) * w))
+            rhs = float(np.sum(v * s.k_transpose(w)))
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_direction_broadcast_transpose(self):
         s = self._solver()
