@@ -34,11 +34,13 @@ from .tomography import (
 from .transport import NonConvergenceError, TransportSolver, apply_J
 
 # Cap on the boundary-trace quadrature cells of one direction, estimated as
-# (n_bdry / 2) * (2 R1 / h_ray).  Building one direction's ragged live cells
-# and their patch-run fold peaks near 85 bytes an estimated cell (tracemalloc,
-# Gaussian absorption, with or without a jump circle), so the cap keeps that
-# near 170 MiB; the default h_ray = R1 / 256 at
-# n_bdry = 256 needs 65536 cells.
+# (n_bdry / 2) * (2 R1 / h_ray) for every outgoing chord, as a trace without
+# a cutoff builds them; a trace under a cutoff builds only the chords where
+# it is nonzero, so this full-data count bounds it too.  Building one
+# direction's ragged live cells and their patch-run fold peaks near 85 bytes
+# an estimated cell (tracemalloc, Gaussian absorption, with or without a jump
+# circle), so the cap keeps that near 170 MiB; the default h_ray = R1 / 256
+# at n_bdry = 256 needs 65536 cells.
 MAX_TRACE_CELLS = 2**21
 
 # Cap on pixel-directions nx * ny * n_theta.  The stacked rotation gathers
@@ -47,10 +49,10 @@ MAX_TRACE_CELLS = 2**21
 # grid with 64 directions has 2**18.  The same cap bounds nx * ny * symbol.n_xi:
 # the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction,
 # and its attenuation stack one block of STACK_BLOCK_NODES lattice nodes.
-# It also bounds nx * ny * (2 scattering.n_modes + 1)**2 for the
-# Henyey-Greenstein preset.  The solver keeps only 2n + 1 scattering floats a
-# pixel, so this is no memory bound: it keeps 2n + 1 <= 256 on the smallest
-# 8x8 grid, as _validate's certificate-overflow argument needs.
+# It also bounds the Henyey-Greenstein preset's scattering table,
+# (2 scattering.n_modes + 1) * nx * ny floats: the solver keeps one kernel
+# raster per harmonic, and each scattering product one moment per harmonic,
+# pixel and source column, so the cap keeps either near 32 MiB.
 MAX_PIXEL_DIRECTIONS = 2**22
 
 # Cap on wavefront edge samples.  The edge report tests microvisibility in
@@ -59,8 +61,10 @@ MAX_PIXEL_DIRECTIONS = 2**22
 # near 0.2 s and 14 MiB; the default is 96.
 MAX_EDGE_SAMPLES = 2**16
 
-# Bound on scattering.total * 2 R1; see _validate.
+# Bounds on scattering.total * 2 R1 and on the Henyey-Greenstein harmonics
+# 2 scattering.n_modes + 1; see _validate.
 MAX_SCATTERING_REACH = 1e300
+MAX_KERNEL_HARMONICS = 256
 
 
 class ConfigError(Exception):
@@ -176,7 +180,7 @@ def _validate(cfg):
     # A product K T1^{-1} x with |x| <= 1 is at most 2 pi sup|k| times the
     # longest chord 2 R1.  Every scattering preset has
     # sup|k| <= (2 n_modes + 1) total / (2 pi), and the Henyey-Greenstein
-    # table cap below keeps 2 n_modes + 1 <= 256 on the smallest 8x8 grid,
+    # harmonic cap below keeps 2 n_modes + 1 <= MAX_KERNEL_HARMONICS = 256,
     # so under this bound the certificate's first product stays below
     # 256e300 and its bracket stays finite.
     reach = cfg.scattering_total * 2.0 * cfg.radius_outer
@@ -214,7 +218,13 @@ def _validate(cfg):
     if cfg.scattering_preset == "henyey-greenstein":
         if cfg.scattering_n_modes < 0:
             raise ConfigError("scattering.n_modes must be nonnegative")
-        table = (2 * cfg.scattering_n_modes + 1) ** 2 * cfg.nx * cfg.ny
+        harmonics = 2 * cfg.scattering_n_modes + 1
+        if harmonics > MAX_KERNEL_HARMONICS:
+            raise ConfigError(
+                f"scattering.n_modes = {cfg.scattering_n_modes} gives {harmonics} "
+                f"kernel harmonics (2 n_modes + 1); the cap is {MAX_KERNEL_HARMONICS} "
+                f"(lower scattering.n_modes)")
+        table = harmonics * cfg.nx * cfg.ny
         if table > MAX_PIXEL_DIRECTIONS:
             raise ConfigError(
                 f"scattering.n_modes = {cfg.scattering_n_modes} on a {cfg.nx}x{cfg.ny} "

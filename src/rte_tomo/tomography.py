@@ -148,12 +148,8 @@ def ray_transform(solver, spec, f=None, phantom=None):
     ``phantom`` and are integrated with quadrature cells split at their
     jump circles.
     """
-    if phantom is not None:
-        values = solver.trace_phase(None, phantom)[..., 0]
-    else:
-        f_flat = solver._f_flat(f, None)
-        values = solver.trace_phase(None, f_flat)[..., 0]
-    values = solver.chi_values(spec) * values
+    src = phantom if phantom is not None else solver._f_flat(f, None)
+    values = solver.trace_phase(None, src, spec)[..., 0]
     return BoundaryData(bgrid=solver.bgrid, values=values)
 
 

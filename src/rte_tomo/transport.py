@@ -31,7 +31,10 @@ coordinates taken straight from the distances); tracing is a product with
 it and the transpose trace is the product with its transpose.  Analytic
 phantoms are evaluated at the midpoints of their refined cells on every
 trace and summed chord by chord; a scattering source next to them goes
-through an operator folded from the same cells.
+through an operator folded from the same cells.  A trace under a cutoff chi
+is chi times the trace, and every quantity of a chord depends on that chord
+alone, so it integrates only the chords whose outgoing sample has chi != 0
+(the operators are folded once per cutoff); the full trace integrates all.
 
 The scattering fixed point is only iterated when the spectral radius of
 K T1^{-1} is certified below one.  For a kernel that is nonnegative on the
@@ -232,13 +235,14 @@ def ray_nodes(step, lengths):
     """Live lattice nodes of rays of the given lengths, ray after ray.
 
     Ray c gets the n[c] lattice nodes step * k below lengths[c], in order,
-    then lengths[c] itself, so n[c] cells.  Returns (lattice, n, flat nodes).
+    then lengths[c] itself, so n[c] cells.  Returns (lattice, n, flat nodes);
+    with no rays, the nodes are empty.
     """
-    n_full = int(math.floor(lengths.max() / step + 1e-12))
+    n_full = int(math.floor(lengths.max(initial=0.0) / step + 1e-12))
     lattice = step * np.arange(n_full + 1)
     n = np.searchsorted(lattice, lengths)
     last = np.cumsum(n + 1) - 1
-    rank = np.arange(int(last[-1]) + 1) - np.repeat(last - n, n + 1)
+    rank = np.arange(int(np.sum(n + 1))) - np.repeat(last - n, n + 1)
     nodes = lattice.take(rank, mode="clip")
     nodes[last] = lengths
     return lattice, n, nodes
@@ -279,7 +283,7 @@ class TransportSolver:
         self._mask_flat = grid.disk_mask(geom.radius_outer).reshape(-1).astype(float)
         self._omega_flat = grid.disk_mask(geom.radius_inner).reshape(-1)
         self._rot = None
-        self._trace_ops = None
+        self._trace_ops = {}
         self._march_A = None
         self._k_tables = None
         self.certificate = None
@@ -409,8 +413,14 @@ class TransportSolver:
 
     # -- boundary trace -----------------------------------------------------
 
-    def _chord_cells(self, q, circles):
-        """Attenuated quadrature cells for all chords of direction q.
+    def _chord_cells(self, q, circles, rows=None):
+        """Attenuated quadrature cells for chords of direction q.
+
+        The chords are those leaving at the boundary samples rows, which
+        must be outgoing for q (default: every outgoing sample; a trace
+        under a cutoff passes only those where the cutoff is nonzero).  The
+        cells of a chord depend on that chord alone, so they are the same
+        whichever other chords are built with it.
 
         The nodes of a chord of length L run back from its exit point: the
         lattice h_ray * k for every k with h_ray * k < L, merged in order
@@ -428,7 +438,7 @@ class TransportSolver:
         phantoms rebuild their refined cells on every trace.
         """
         bg = self.bgrid
-        out_idx = np.nonzero(bg.outgoing[:, q])[0]
+        out_idx = np.flatnonzero(bg.outgoing[:, q]) if rows is None else rows
         z = bg.points[out_idx]
         L = 2.0 * self.geom.radius_outer * bg.normal_dot[out_idx, q]
         th = self.theta_vecs[q]
@@ -484,70 +494,95 @@ class TransportSolver:
             return np.empty((len(z), 0))
         return np.sort(np.stack(cols, axis=1), axis=1)
 
-    def _trace_operators(self):
-        """Per-direction (outgoing indices, exit-chord operator), built once.
+    def _trace_rows(self, spec):
+        """Per direction, the boundary samples whose chords a trace reads.
 
-        Row c of operator q sums the weighted bilinear samples of the live
-        cells of chord c of direction q, so it maps a raster source (N, B)
-        to the chord quadratures (n_out, B).  BilinearGather.along_chords
-        finds each cell's patch from its distance back from the exit point
-        and sums each run of cells in one patch into one entry per corner
-        pixel.
+        Without a cutoff (spec None) these are the outgoing samples, with
+        chi = 1.  Under one, only the outgoing samples where chi != 0: every
+        other row of chi * trace is zero, so its chord is never integrated.
+        Returns (q, sample indices, chi there as an (n, 1) column) for each
+        direction with at least one such sample.
         """
-        if self._trace_ops is None:
-            ops = []
-            for q in range(self.n_theta):
-                out_idx, weights, counts, dist = self._chord_cells(q, [])
-                op = BilinearGather.along_chords(self.grid, self.bgrid.points[out_idx],
-                                                 -self.theta_vecs[q], dist, weights, counts)
-                ops.append((out_idx, op))
-            self._trace_ops = ops
-        return self._trace_ops
+        bg = self.bgrid
+        chi = bg.outgoing.astype(float) if spec is None else self.chi_values(spec)
+        support = bg.outgoing & (chi != 0.0)
+        rows = []
+        for q in range(self.n_theta):
+            idx = np.flatnonzero(support[:, q])
+            if len(idx):
+                rows.append((q, idx, chi[idx, q, None]))
+        return rows
 
-    def trace_phase(self, scatter, f_part):
+    def _trace_operators(self, spec=None):
+        """(q, sample indices, chi column, exit-chord operator) per direction.
+
+        Built once per cutoff, like chi_values, for the chords of
+        _trace_rows(spec).  Row c of operator q sums the weighted bilinear
+        samples of the live cells of the chord leaving at sample rows[c], so
+        it maps a raster source (N, B) to the chord quadratures (n, B).
+        BilinearGather.along_chords finds each cell's patch from its distance
+        back from the exit point and sums each run of cells in one patch into
+        one entry per corner pixel.
+        """
+        if spec not in self._trace_ops:
+            ops = []
+            for q, rows, chi in self._trace_rows(spec):
+                _, weights, counts, dist = self._chord_cells(q, [], rows)
+                op = BilinearGather.along_chords(self.grid, self.bgrid.points[rows],
+                                                 -self.theta_vecs[q], dist, weights, counts)
+                ops.append((q, rows, chi, op))
+            self._trace_ops[spec] = ops
+        return self._trace_ops[spec]
+
+    def trace_phase(self, scatter, f_part, spec=None):
         """Exit-chord quadrature of the transport source.
 
         scatter: (n_theta, N, B) raster source or None; f_part: (N, B)
         raster, an analytic phantom broadcast over directions, or None.
-        Raster sources go through the cached per-direction operators.  An
-        analytic phantom is evaluated at the midpoints of the live cells
-        refined at its jump circles and summed chord by chord; a scattering
-        source next to it goes through an exit-chord operator folded from
-        the distances of the same cells.  Returns boundary values
-        (n_bdry, n_theta, B).
+        Without a cutoff every outgoing chord is integrated; under a cutoff
+        spec the result is chi * trace and only the chords where chi != 0
+        are integrated, the rest reading 0 (without a cutoff chi is 1, and
+        multiplying by it is exact).  Raster sources go through the cached
+        per-direction operators.  An analytic phantom is evaluated at the
+        midpoints of the live cells refined at its jump circles and summed
+        chord by chord; a scattering source next to it goes through an
+        exit-chord operator folded from the distances of the same cells.
+        Returns boundary values (n_bdry, n_theta, B).
         """
         analytic = f_part is not None and not isinstance(f_part, np.ndarray)
         B = scatter.shape[2] if scatter is not None else (
             1 if analytic else f_part.shape[1])
         out = np.zeros((self.bgrid.n_bdry, self.n_theta, B))
         if not analytic:
-            for q, (out_idx, op) in enumerate(self._trace_operators()):
+            for q, rows, chi, op in self._trace_operators(spec):
                 if scatter is None:
                     src = f_part
                 elif f_part is None:
                     src = scatter[q]
                 else:
                     src = scatter[q] + f_part
-                out[out_idx, q] = op.apply(src)
+                out[rows, q] = chi * op.apply(src)
             return out
         circles = _phantom_circles(f_part)
-        for q in range(self.n_theta):
-            out_idx, weights, counts, dist = self._chord_cells(q, circles)
-            z, back = self.bgrid.points[out_idx], -self.theta_vecs[q]
+        for q, rows, chi in self._trace_rows(spec):
+            _, weights, counts, dist = self._chord_cells(q, circles, rows)
+            z, back = self.bgrid.points[rows], -self.theta_vecs[q]
             mids = ray_points(z, counts, dist, back)
             vals = weights * np.asarray(f_part(mids), dtype=float).reshape(-1)
             # Every outgoing chord has at least one live cell.
-            out[out_idx, q] = np.add.reduceat(vals, np.cumsum(counts) - counts)[:, None]
+            vals = np.add.reduceat(vals, np.cumsum(counts) - counts)[:, None]
             if scatter is not None:
                 op = BilinearGather.along_chords(self.grid, z, back, dist, weights, counts)
-                out[out_idx, q] += op.apply(scatter[q])
+                vals = vals + op.apply(scatter[q])
+            out[rows, q] = chi * vals
         return out
 
-    def trace_transpose(self, cot):
-        """Exact transpose of trace_phase on full phase-space sources."""
+    def trace_transpose(self, cot, spec=None):
+        """Exact transpose of trace_phase on full phase-space sources,
+        under the same cutoff."""
         out = np.zeros((self.n_theta, self.grid.n_pixels, cot.shape[2]))
-        for q, (out_idx, op) in enumerate(self._trace_operators()):
-            out[q] = op.apply_transpose(cot[out_idx, q])
+        for q, rows, chi, op in self._trace_operators(spec):
+            out[q] = op.apply_transpose(chi * cot[rows, q])
         return out
 
     def chi_values(self, spec):
@@ -583,15 +618,26 @@ class TransportSolver:
 
         Pixel n scatters direction q' into q with weight
         w_theta * (theta_mat^T diag(ka[:, n]) trig)[q, q'].  Nonnegative factor
-        tables settle it at once; otherwise the products are checked in
-        chunks of at most SIGN_CHECK_ENTRIES entries.
+        tables settle it at once.  Otherwise each column of ka is scaled by
+        the positive factor 1 / max |ka[:, n]|, which keeps the signs of its
+        entries, and the products are checked once per distinct scaled
+        column (a Henyey-Greenstein kernel, whose columns are multiples of
+        one vector, has a handful), in chunks of at most SIGN_CHECK_ENTRIES
+        entries.
         """
         trig, ka, theta_mat = self._k_matrices()
         if all(np.all(t >= 0.0) for t in (trig, ka, theta_mat)):
             return True
+        peak = np.abs(ka).max(axis=0)
+        live = peak > 0.0
+        cols = ka[:, live] / peak[live]
+        cols = cols[:, np.lexsort(cols)]
+        distinct = np.ones(cols.shape[1], dtype=bool)
+        distinct[1:] = np.any(cols[:, 1:] != cols[:, :-1], axis=0)
+        cols = cols[:, distinct]
         chunk = max(1, SIGN_CHECK_ENTRIES // self.n_theta**2)
-        for first in range(0, ka.shape[1], chunk):
-            left = np.einsum("tq,tn->nqt", theta_mat, ka[:, first:first + chunk])
+        for first in range(0, cols.shape[1], chunk):
+            left = np.einsum("tq,tn->nqt", theta_mat, cols[:, first:first + chunk])
             if np.any(left @ trig < 0.0):
                 return False
         return True
@@ -738,12 +784,13 @@ class TransportSolver:
 
     # -- measurement operator ------------------------------------------------
 
-    def trace_field(self, field):
+    def trace_field(self, field, spec=None):
         """Outgoing boundary trace of a field from its recorded source.
 
         The raster or phantom in ``field.source_f`` and the scattering
-        source in ``field.source_scatter`` go through trace_phase.  A field
-        that records neither, such as one built by hand, is refused.
+        source in ``field.source_scatter`` go through trace_phase, so under
+        a cutoff spec this is chi * trace from the chords where chi != 0.  A
+        field that records neither, such as one built by hand, is refused.
         """
         if field.source_f is None and field.source_scatter is None:
             raise ValueError("field carries no transport source to trace; trace "
@@ -754,14 +801,13 @@ class TransportSolver:
         src = field.source_f
         if isinstance(src, np.ndarray):
             src = src.reshape(-1, 1)
-        values = self.trace_phase(scatter, src)[..., 0]
+        values = self.trace_phase(scatter, src, spec)[..., 0]
         return BoundaryData(bgrid=self.bgrid, values=values)
 
     def measurement(self, spec, f=None, phantom=None):
         """Partial boundary measurement chi * (trace of the solved field)."""
         field, report = self.solve(f=f, phantom=phantom)
-        values = self.chi_values(spec) * self.trace_field(field).values
-        return BoundaryData(bgrid=self.bgrid, values=values), report
+        return self.trace_field(field, spec), report
 
     def xv_apply(self, f_flat, spec, n_terms):
         """chi * trace of sum_{j<=n_terms} (K T1^{-1})^j J f, fixed length."""
@@ -771,12 +817,11 @@ class TransportSolver:
         for _ in range(n_terms):
             y = self.k_apply(self.t1_apply(y))
             acc += y
-        b = self.trace_phase(acc, None)
-        return self.chi_values(spec)[..., None] * b
+        return self.trace_phase(acc, None, spec)
 
     def xv_transpose(self, cot, spec, n_terms):
         """Exact transpose of xv_apply at matched series length."""
-        w = self.trace_transpose(self.chi_values(spec)[..., None] * cot)
+        w = self.trace_transpose(cot, spec)
         acc = w.copy()
         y = w
         for _ in range(n_terms):

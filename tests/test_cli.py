@@ -163,8 +163,12 @@ class TestParseConfig:
          "wavefront.n_edge = 1000000000 is above the cap 65536"),
         # Found by the forward fuzzer: the kernel build exhausted memory.
         ("scattering.preset = henyey-greenstein\nscattering.n_modes = 1000000\n",
-         "scattering.n_modes = 1000000 on a 64x64 grid gives a scattering table of "
-         "16384016384004096 entries; the cap is 4194304 (lower scattering.n_modes)"),
+         "scattering.n_modes = 1000000 gives 2000001 kernel harmonics (2 n_modes + 1); "
+         "the cap is 256 (lower scattering.n_modes)"),
+        ("scattering.preset = henyey-greenstein\nscattering.n_modes = 127\n"
+         "grid.nx = 256\ngrid.ny = 256\ngrid.n_theta = 8\n",
+         "scattering.n_modes = 127 on a 256x256 grid gives a scattering table of "
+         "16711680 entries; the cap is 4194304 (lower scattering.n_modes)"),
         ("scattering.preset = henyey-greenstein\nscattering.n_modes = -1\n",
          "scattering.n_modes must be nonnegative"),
         ("geometry.R = 0.01\ngrid.nx = 8\ngrid.ny = 8\n",
@@ -181,10 +185,19 @@ class TestParseConfig:
             "zero-source-width", "negative-absorption-width",
             "subnormal-absorption-width", "tiny-source-width", "huge-phase-space",
             "huge-symbol-directions", "huge-edge-count", "huge-hg-mode-count",
-            "negative-hg-mode-count", "no-source-pixel", "huge-scattering-total"])
+            "huge-hg-table", "negative-hg-mode-count", "no-source-pixel",
+            "huge-scattering-total"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)
+
+    def test_hg_mode_caps(self):
+        # The table holds 2 n_modes + 1 floats a pixel: 33 * 4096 at n = 16.
+        hg = "scattering.preset = henyey-greenstein\n"
+        assert parse_config(hg + "scattering.n_modes = 16\n").scattering_n_modes == 16
+        assert parse_config(hg + "scattering.n_modes = 127\n").scattering_n_modes == 127
+        with pytest.raises(ConfigError, match=re.escape("gives 257 kernel harmonics")):
+            parse_config(hg + "scattering.n_modes = 128\n")
 
 
 class TestExitCodes:

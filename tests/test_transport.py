@@ -404,6 +404,24 @@ class TestCertificate:
         monkeypatch.setattr(transport, "SIGN_CHECK_ENTRIES", 8 * 8)
         assert [s._kernel_nonnegative() for s in solvers] == [True, False]
 
+    def test_sign_check_finds_one_negative_pixel(self, monkeypatch):
+        # kappa = r0 + r1 cos(theta') with r1 = 0.5 r0 except at one pixel,
+        # where r1 = 3 r0 makes the kernel negative for cos(theta') < -1/3.
+        def kernel_of(bump):
+            def build(grid):
+                r0 = bumped_source(grid, GEOM)
+                r1 = 0.5 * r0
+                assert r0[12, 12] > 0.0
+                r1[12, 12] = bump * r0[12, 12]
+                kappa = AngularField(grid, (AngularMode(0, "cos", r0),
+                                            AngularMode(1, "cos", r1)))
+                return ScatteringKernel(grid, ((TrigPoly.constant(1.0), kappa),))
+            return build
+        solvers = [self._solver(kernel_of(bump)) for bump in (0.5, 3.0)]
+        assert [s._kernel_nonnegative() for s in solvers] == [True, False]
+        monkeypatch.setattr(transport, "SIGN_CHECK_ENTRIES", 8 * 8)
+        assert [s._kernel_nonnegative() for s in solvers] == [True, False]
+
     def test_vanishing_kernel_row_falls_back_to_power_iteration(self):
         # Theta(theta) = 1 + cos(theta) is nonnegative but zero at theta = pi,
         # a grid direction, so K T1^{-1} x is not strictly positive there.
@@ -819,14 +837,7 @@ class TestAdjointPairs:
 
     def test_trace_operators_are_built_once(self, monkeypatch):
         s = self._solver()
-        builds = []
-        along_chords = BilinearGather.along_chords.__func__
-
-        def counted(cls, grid, origins, direction, dist, weights, counts):
-            builds.append(len(counts))
-            return along_chords(cls, grid, origins, direction, dist, weights, counts)
-
-        monkeypatch.setattr(BilinearGather, "along_chords", classmethod(counted))
+        builds = counting_along_chords(monkeypatch)
         rng = np.random.default_rng(8)
         f = rng.standard_normal((s.grid.n_pixels, 2))
         first = s.trace_phase(None, f)
@@ -949,6 +960,107 @@ class TestAdjointPairs:
         lhs = float(np.sum(s.xv_apply(f, spec, n_terms) * cot))
         rhs = float(np.sum(f * s.xv_transpose(cot, spec, n_terms)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def counting_along_chords(monkeypatch):
+    """Record the chord count of every BilinearGather.along_chords build."""
+    builds = []
+    along_chords = BilinearGather.along_chords.__func__
+
+    def counted(cls, grid, origins, direction, dist, weights, counts):
+        builds.append(len(counts))
+        return along_chords(cls, grid, origins, direction, dist, weights, counts)
+
+    monkeypatch.setattr(BilinearGather, "along_chords", classmethod(counted))
+    return builds
+
+
+class TestRestrictedTrace:
+    """Traces under a cutoff integrate only the chords where chi != 0."""
+
+    # Two arcs with cones: most directions have no supported chord.
+    SPEC = CutoffSpec.from_arcs([(0.0, 1.0), (2.5, 3.5)], cones=[0.5, 0.8],
+                                transition_width=0.2)
+
+    @staticmethod
+    def _solver():
+        grid = Grid(20, 20, 1.0)
+        return TransportSolver(geom=GEOM, grid=grid,
+                               sigma=AbsorptionField.gaussian(grid, GEOM, 0.5, width=0.4),
+                               kernel=ScatteringKernel.isotropic(grid, GEOM, 0.4),
+                               n_theta=8, n_bdry=32)
+
+    def _support(self, s):
+        support = s.bgrid.outgoing & (s.chi_values(self.SPEC) != 0.0)
+        per_direction = support.sum(axis=0)
+        assert np.any(per_direction == 0) and np.any(per_direction > 0)
+        return support
+
+    def test_zero_rays_and_chords(self):
+        lattice, n, nodes = transport.ray_nodes(0.1, np.empty(0))
+        assert len(lattice) == 1 and n.shape == nodes.shape == (0,)
+        grid = Grid(9, 7, 1.0)
+        direction = np.array([1.0, 0.0])
+        for n_chords in (0, 3):
+            op = BilinearGather.along_chords(grid, np.zeros((n_chords, 2)), direction,
+                                             np.empty(0), np.empty(0),
+                                             np.zeros(n_chords, dtype=int))
+            assert op.matrix.shape == (n_chords, grid.n_pixels) and op.matrix.nnz == 0
+            assert op.apply(np.ones((grid.n_pixels, 2))).shape == (n_chords, 2)
+            assert np.all(op.apply_transpose(np.ones((n_chords, 2))) == 0.0)
+        s = self._solver()
+        cells = s._chord_cells(0, DiskPhantom(radius=0.3, value=1.0).jump_circles(),
+                               np.empty(0, dtype=int))
+        assert [len(a) for a in cells] == [0, 0, 0, 0]
+
+    def test_matches_cutoff_times_full_trace(self):
+        s, fresh = self._solver(), self._solver()
+        chi = s.chi_values(self.SPEC)
+        self._support(s)
+        f = bumped_source(s.grid, GEOM)
+        n_terms = 3
+        series = y = fresh.j_apply(f.reshape(-1, 1))
+        for _ in range(n_terms):
+            y = fresh.k_apply(fresh.t1_apply(y))
+            series = series + y
+        np.testing.assert_array_equal(s.xv_apply(f.reshape(-1, 1), self.SPEC, n_terms),
+                                      chi[..., None] * fresh.trace_phase(series, None))
+        phantom = DiskPhantom(center=(0.1, -0.2), radius=0.4, value=1.3)
+        for source in ({"f": f}, {"phantom": phantom}):
+            bd, _ = s.measurement(self.SPEC, **source)
+            field, _ = fresh.solve(**source)
+            np.testing.assert_array_equal(bd.values, chi * fresh.trace_field(field).values)
+
+    def test_pairing(self):
+        s = self._solver()
+        self._support(s)
+        rng = np.random.default_rng(21)
+        f = rng.standard_normal((s.grid.n_pixels, 2))
+        cot = rng.standard_normal((s.bgrid.n_bdry, s.n_theta, 2))
+        lhs = float(np.sum(s.xv_apply(f, self.SPEC, 4) * cot))
+        rhs = float(np.sum(f * s.xv_transpose(cot, self.SPEC, 4)))
+        assert lhs == pytest.approx(rhs, rel=1e-12)
+
+    def test_empty_cutoff_builds_nothing(self, monkeypatch):
+        s = self._solver()
+        builds = counting_along_chords(monkeypatch)
+        empty = CutoffSpec.empty()
+        f = bumped_source(s.grid, GEOM)
+        assert np.all(s.xv_apply(f.reshape(-1, 1), empty, 2) == 0.0)
+        assert np.all(s.xv_transpose(np.ones((s.bgrid.n_bdry, s.n_theta, 1)), empty, 2) == 0.0)
+        for source in ({"f": f}, {"phantom": DiskPhantom(radius=0.4, value=1.0)}):
+            assert np.all(s.measurement(empty, **source)[0].values == 0.0)
+        assert builds == []
+
+    def test_each_direction_is_built_once(self, monkeypatch):
+        s = self._solver()
+        support = self._support(s)
+        builds = counting_along_chords(monkeypatch)
+        rng = np.random.default_rng(22)
+        b = s.xv_apply(rng.standard_normal((s.grid.n_pixels, 1)), self.SPEC, 2)
+        s.xv_transpose(b, self.SPEC, 2)
+        assert len(builds) == np.count_nonzero(support.any(axis=0))
+        assert sum(builds) == support.sum()
 
 
 class TestBoundarySampling:
