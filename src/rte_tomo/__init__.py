@@ -30,14 +30,10 @@ from .geometry import (
     CutoffSpec,
     DiskGeometry,
     Grid,
-    Ray,
     VisibilityMask,
-    boundary_weight,
-    chord,
     convex_hull_mask,
     cutoff_eval,
     cutoff_extended,
-    invisible_mask,
     microvisible,
     visible_mask,
 )
@@ -48,9 +44,6 @@ from .coefficients import (
     ScatteringKernel,
     TrigPoly,
     attenuation_E,
-    attenuation_Sigma,
-    mode_norms,
-    sobolev_raster_norm,
 )
 from .phantoms import (
     ConstantPhantom,

@@ -7,8 +7,7 @@ modes Theta_j(theta) * kappa_j(x, theta') where Theta_j is a trigonometric
 polynomial and kappa_j is again a raster-times-harmonics field in theta'.
 
 Attenuation line integrals use a composite trapezoid rule on a lattice
-anchored at the ray's exit point, so that splitting a ray path in two gives
-exactly multiplicative attenuation factors.
+anchored at the ray's exit point.
 """
 
 from __future__ import annotations
@@ -63,13 +62,6 @@ def trig_basis(order, phase, angle):
     if phase == "sin":
         return np.sin(order * angle)
     raise ValueError(f"unknown phase {phase!r}")
-
-
-def harmonic_h1_norm(order, phase):
-    """H^1 circle norm of cos(m phi) or sin(m phi)."""
-    if order == 0:
-        return 0.0 if phase == "sin" else math.sqrt(TWO_PI)
-    return math.sqrt(math.pi * (1.0 + order * order))
 
 
 @dataclass(frozen=True)
@@ -128,6 +120,9 @@ class AbsorptionField(AngularField):
 
     def __init__(self, grid, modes):
         super().__init__(grid, modes)
+        # min/max below cannot see nan, and -inf fails no scaled bound.
+        if not all(np.all(np.isfinite(m.raster)) for m in self.modes):
+            raise ValueError("absorption field has non-finite values")
         if self.modes:
             self._check_nonnegative()
 
@@ -207,7 +202,10 @@ class AbsorptionField(AngularField):
         if raster.shape != (grid.ny, grid.nx):
             raise ValueError("raster shape does not match grid")
         ext = extension_profile(geom)(grid.centers())
-        return cls(grid, modes=(AngularMode(0, "cos", raster * ext),))
+        # inf * 0 outside the extension is nan, which __init__ refuses.
+        with np.errstate(invalid="ignore"):
+            tapered = raster * ext
+        return cls(grid, modes=(AngularMode(0, "cos", tapered),))
 
 
 @dataclass(frozen=True)
@@ -244,12 +242,6 @@ class TrigPoly:
             if self.sin_coef[m]:
                 out = out + self.sin_coef[m] * np.sin(m * a)
         return out
-
-    def h1_norm(self):
-        total = self.cos_coef[0] ** 2 * TWO_PI
-        for m in range(1, len(self.cos_coef)):
-            total += (self.cos_coef[m] ** 2 + self.sin_coef[m] ** 2) * math.pi * (1 + m * m)
-        return math.sqrt(total)
 
 
 class ScatteringKernel:
@@ -330,33 +322,26 @@ class ScatteringKernel:
 # ---------------------------------------------------------------------------
 
 
-def ray_absorption(sigma, geom, x, theta, radii, h_ray):
-    """Absorption integrals from the exit of (x, theta) back along -theta.
+def ray_absorption(sigma, geom, x, theta, length, h_ray):
+    """Absorption integral from the exit of (x, theta) back along -theta.
 
-    Returns G(r) = integral of sigma over the path of length r ending at the
-    exit point, for each backward distance r in ``radii``.  All integrals
-    share one trapezoid lattice anchored at the exit, so results for nested
-    radii are exactly additive.
+    Returns the integral of sigma over the path of the given length that
+    ends at the exit point, by the trapezoid rule on a lattice of step h_ray
+    anchored at the exit; the last cell is the partial one.
     """
-    x = np.asarray(x, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if sigma.is_zero:
-        return np.zeros(radii.shape)
+        return 0.0
     z, _ = exit_points(geom, x, theta)
     ang = float(angle_of(theta))
-    rmax = float(radii.max(initial=0.0))
-    n_full = int(math.floor(rmax / h_ray + 1e-12))
+    n_full = int(math.floor(length / h_ray + 1e-12))
     lattice = h_ray * np.arange(n_full + 1)
     nodes = z[None, :] - lattice[:, None] * theta[None, :]
     svals = sigma.sample(nodes, ang)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h_ray * (svals[:-1] + svals[1:]))]) \
-        if n_full > 0 else np.zeros(1)
-    k = np.minimum(np.floor(radii / h_ray + 1e-12).astype(int), n_full)
-    frac = radii - lattice[k]
-    ends = z[None, :] - radii[:, None] * theta[None, :]
-    s_end = sigma.sample(ends, ang)
-    return cum[k] + 0.5 * frac * (svals[k] + s_end)
+    # Summed left to right; np.sum's pairwise order would move the last bits
+    # of every attenuation value and so of the artifacts.
+    full = np.cumsum(0.5 * h_ray * (svals[:-1] + svals[1:]))[-1] if n_full > 0 else 0.0
+    s_end = sigma.sample((z - length * theta)[None, :], ang)[0]
+    return full + 0.5 * (length - lattice[-1]) * (svals[-1] + s_end)
 
 
 def ray_step(radius_outer, h_ray=None):
@@ -376,118 +361,6 @@ def attenuation_E(sigma, geom, x, theta, h_ray=None):
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     _, tau = exit_points(geom, x, theta)
-    g = ray_absorption(sigma, geom, x, theta, [float(tau)], h_ray)
-    return float(np.exp(-g[0]))
+    g = ray_absorption(sigma, geom, x, theta, float(tau), h_ray)
+    return float(np.exp(-g))
 
-
-def attenuation_Sigma(sigma, geom, x, s, theta_prime):
-    """Partial attenuation over the path of length s ending at x along theta'."""
-    if s < 0.0:
-        raise ValueError("path length s must be >= 0")
-    x = np.asarray(x, dtype=float)
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    _, tau = exit_points(geom, x, theta_prime)
-    g = ray_absorption(sigma, geom, x, theta_prime, [float(tau), float(tau) + s],
-                       ray_step(geom.radius_outer))
-    return float(np.exp(-(g[1] - g[0])))
-
-
-# ---------------------------------------------------------------------------
-# Sobolev mode norms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeNormEntry:
-    label: str
-    spatial_norm: float
-    angular_norm: float
-
-    @property
-    def product(self):
-        return self.spatial_norm * self.angular_norm
-
-
-@dataclass(frozen=True)
-class ModeNorms:
-    order: int
-    entries: tuple
-
-    @property
-    def aggregate(self):
-        return sum(e.product for e in self.entries)
-
-
-def sobolev_order_limit(grid):
-    """Largest Sobolev order whose FFT multiplier stays inside float range."""
-    kmax2 = (math.pi / grid.hx) ** 2 + (math.pi / grid.hy) ** 2
-    return int(700.0 / math.log1p(kmax2))
-
-
-def sobolev_raster_norm(grid, raster, order):
-    """Discrete H^order norm of a raster via Fourier multipliers."""
-    if order < 0:
-        raise ValueError("Sobolev order must be >= 0")
-    limit = sobolev_order_limit(grid)
-    if order > limit:
-        raise ValueError(
-            f"Sobolev order {order} exceeds the resolvable limit {limit} for this grid"
-        )
-    kx = TWO_PI * np.fft.fftfreq(grid.nx, d=grid.hx)
-    ky = TWO_PI * np.fft.fftfreq(grid.ny, d=grid.hy)
-    mult = (1.0 + kx[None, :] ** 2 + ky[:, None] ** 2) ** order
-    spec = np.fft.fft2(np.asarray(raster, dtype=float))
-    total = float(np.sum(mult * np.abs(spec) ** 2))
-    return math.sqrt(total * grid.pixel_area / grid.n_pixels)
-
-
-def _phase_field_modes(values, grid):
-    """Split (n_theta, ny, nx) values into cos/sin harmonic rasters."""
-    n = values.shape[0]
-    coef = np.fft.rfft(values, axis=0)
-    out = [(0, "cos", coef[0].real / n)]
-    for m in range(1, coef.shape[0]):
-        scale = 1.0 if (n % 2 == 0 and m == n // 2) else 2.0
-        out.append((m, "cos", scale * coef[m].real / n))
-        if not (n % 2 == 0 and m == n // 2):
-            out.append((m, "sin", -scale * coef[m].imag / n))
-    return out
-
-
-def mode_norms(obj, order, grid=None):
-    """Per-mode Sobolev norm report for fields and kernels.
-
-    Accepts an AngularField (including AbsorptionField), a ScatteringKernel,
-    or a phase-space array of shape (n_theta, ny, nx) together with ``grid``.
-    Each entry pairs the spatial H^order norm of a harmonic raster with the
-    H^1 circle norm of its harmonic.
-    """
-    entries = []
-    if isinstance(obj, ScatteringKernel):
-        for j, (theta_poly, kappa) in enumerate(obj.modes):
-            tnorm = theta_poly.h1_norm()
-            for m in kappa.modes:
-                entries.append(ModeNormEntry(
-                    label=f"term{j}:{m.phase}{m.order}",
-                    spatial_norm=tnorm * sobolev_raster_norm(kappa.grid, m.raster, order),
-                    angular_norm=harmonic_h1_norm(m.order, m.phase),
-                ))
-        return ModeNorms(order=order, entries=tuple(entries))
-    if isinstance(obj, AngularField):
-        for m in obj.modes:
-            entries.append(ModeNormEntry(
-                label=f"{m.phase}{m.order}",
-                spatial_norm=sobolev_raster_norm(obj.grid, m.raster, order),
-                angular_norm=harmonic_h1_norm(m.order, m.phase),
-            ))
-        return ModeNorms(order=order, entries=tuple(entries))
-    values = np.asarray(obj, dtype=float)
-    if values.ndim != 3 or grid is None:
-        raise TypeError("expected an AngularField, ScatteringKernel, or (n_theta, ny, nx) array with grid")
-    for m, phase, raster in _phase_field_modes(values, grid):
-        entries.append(ModeNormEntry(
-            label=f"{phase}{m}",
-            spatial_norm=sobolev_raster_norm(grid, raster, order),
-            angular_norm=harmonic_h1_norm(m, phase),
-        ))
-    return ModeNorms(order=order, entries=tuple(entries))

@@ -41,6 +41,8 @@ def read_grid_csv(path):
         raster = np.loadtxt(fh, delimiter=",", ndmin=2)
     if raster.shape != (ny, nx):
         raise ValueError(f"{path}: grid CSV body does not match its header")
+    if not np.all(np.isfinite(raster)):
+        raise ValueError(f"{path}: grid CSV has non-finite entries")
     return raster, radius_outer
 
 

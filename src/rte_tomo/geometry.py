@@ -19,10 +19,6 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
-# Rays closer to tangency than this (in cos of incidence angle) are rejected
-# when a backward chord is requested.
-TANGENT_TOL = 1e-12
-
 
 def rotate90(v):
     """Rotate vectors by +pi/2.  Works on any (..., 2) array."""
@@ -57,11 +53,6 @@ class DiskGeometry:
                 "need 0 < radius_inner < radius_outer, got "
                 f"{self.radius_inner!r}, {self.radius_outer!r}"
             )
-
-    def outward_normal(self, z):
-        z = np.asarray(z, dtype=float)
-        r = np.linalg.norm(z, axis=-1, keepdims=True)
-        return z / r
 
     def check_on_outer_boundary(self, z, rtol=1e-9):
         z = np.asarray(z, dtype=float)
@@ -128,26 +119,6 @@ class Grid:
         return c[..., 0] ** 2 + c[..., 1] ** 2 < radius * radius
 
 
-@dataclass(frozen=True)
-class Ray:
-    """A maximal chord segment of the outer disk, parametrized backwards.
-
-    ``origin + t * direction`` for t in [t_minus, t_plus] traces the chord;
-    t_minus <= 0 <= t_plus and both endpoints lie on the outer circle.
-    """
-
-    origin: tuple
-    direction: tuple
-    t_minus: float
-    t_plus: float
-
-    def point(self, t):
-        o = np.asarray(self.origin, dtype=float)
-        d = np.asarray(self.direction, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return o + t[..., None] * d if t.ndim else o + t * d
-
-
 def _check_unit(theta):
     theta = np.asarray(theta, dtype=float)
     n = np.linalg.norm(theta, axis=-1)
@@ -176,56 +147,6 @@ def exit_points(geom, points, thetas):
     points = np.asarray(points, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
     return points + t[..., None] * thetas, t
-
-
-def boundary_exit(geom, x, theta):
-    """Exit point and exit time of the ray s -> x + s*theta, s >= 0.
-
-    Parameters
-    ----------
-    geom : DiskGeometry
-    x : point with |x| <= radius_outer
-    theta : unit direction
-
-    Returns
-    -------
-    (exit_point, t_plus) : ndarray shape (2,), float
-    """
-    x = np.asarray(x, dtype=float)
-    theta = _check_unit(theta)
-    if np.linalg.norm(x) > geom.radius_outer * (1.0 + 1e-12):
-        raise ValueError("point lies outside the outer disk")
-    p, t = exit_points(geom, x, theta)
-    return p, float(t)
-
-
-def chord(geom, z, theta):
-    """Backward chord of the outer disk ending at boundary point z.
-
-    The pair (z, theta) must be outgoing: theta . nu(z) > 0.  The returned
-    Ray has origin z, t_plus = 0 and t_minus = -(chord length).
-    """
-    z = np.asarray(z, dtype=float)
-    theta = _check_unit(theta)
-    geom.check_on_outer_boundary(z)
-    m = float(np.dot(theta, geom.outward_normal(z)))
-    if m <= TANGENT_TOL:
-        raise ValueError("chord requires an outgoing direction (theta . nu > 0)")
-    length = 2.0 * geom.radius_outer * m
-    return Ray(
-        origin=(float(z[0]), float(z[1])),
-        direction=(float(theta[0]), float(theta[1])),
-        t_minus=-length,
-        t_plus=0.0,
-    )
-
-
-def boundary_weight(geom, z, theta):
-    """Measure weight |theta . nu(z)| at a boundary point of the outer circle."""
-    z = np.asarray(z, dtype=float)
-    theta = _check_unit(theta)
-    geom.check_on_outer_boundary(z)
-    return float(abs(np.dot(theta, geom.outward_normal(z))))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +281,7 @@ def cutoff_eval(spec, geom, z, theta):
     theta = _check_unit(theta)
     geom.check_on_outer_boundary(z)
     phi = math.atan2(z[1], z[0])
-    m = float(np.dot(theta, geom.outward_normal(z)))
+    m = float(np.sum(theta * z)) / geom.radius_outer
     return float(cutoff_boundary_values(spec, phi, m))
 
 
@@ -406,11 +327,14 @@ class VisibilityMask:
         return int(np.count_nonzero(self.visible))
 
 
-def _visible_direction_count(spec, geom, grid, n_theta):
-    """How many of n_theta uniform covector directions microvisible accepts.
+def visible_mask(spec, geom, grid, n_theta=64):
+    """Pixels of the source disk where every covector is microvisible.
 
-    Counted per source-disk pixel, one direction at a time so temporaries
-    stay one direction in size; other pixels read -1, so no mask takes them.
+    The visible set is defined through microvisible: a pixel center x is
+    marked when microvisible accepts (x, xi) for each of n_theta uniformly
+    spaced covector directions xi.  The directions are counted per
+    source-disk pixel, one at a time, so temporaries stay one direction in
+    size.
     """
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
@@ -419,30 +343,9 @@ def _visible_direction_count(spec, geom, grid, n_theta):
     accepted = np.zeros(len(pts), dtype=np.intp)
     for ang in uniform_angles(n_theta):
         accepted += microvisible(spec, geom, pts, unit_vector(ang))
-    count = np.full(omega.shape, -1, dtype=np.intp)
-    count[omega] = accepted
-    return count
-
-
-def visible_mask(spec, geom, grid, n_theta=64):
-    """Pixels of the source disk where every covector is microvisible.
-
-    The visible set is defined through microvisible: a pixel center x is
-    marked when microvisible accepts (x, xi) for each of n_theta uniformly
-    spaced covector directions xi.
-    """
-    count = _visible_direction_count(spec, geom, grid, n_theta)
-    return VisibilityMask(grid=grid, visible=count == n_theta)
-
-
-def invisible_mask(spec, geom, grid, n_theta=64):
-    """Pixels of the source disk where no covector is microvisible.
-
-    The strict counterpart of visible_mask: a pixel is marked when
-    microvisible rejects (x, xi) for all n_theta covector directions.
-    """
-    count = _visible_direction_count(spec, geom, grid, n_theta)
-    return VisibilityMask(grid=grid, visible=count == 0)
+    visible = np.zeros(omega.shape, dtype=bool)
+    visible[omega] = accepted == n_theta
+    return VisibilityMask(grid=grid, visible=visible)
 
 
 def microvisible(spec, geom, x, xi):
@@ -453,8 +356,8 @@ def microvisible(spec, geom, x, xi):
     single pair.  A pair is visible when at least one of the two rays
     through x perpendicular to xi exits with a positive cutoff.  Every xi
     row must be nonzero and every point must lie in the outer disk.  This
-    is the one microvisibility test: both pixel masks and the wavefront
-    edge report are built on it.
+    is the one microvisibility test: the visible pixel mask and the
+    wavefront edge report are built on it.
     """
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)

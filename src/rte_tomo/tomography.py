@@ -382,13 +382,6 @@ class OperatorMatrix:
     def apply_adjoint(self, data):
         return (self.matrix.T @ (self.row_weights * data)) / self.col_weights
 
-    def adjoint_matrix(self):
-        return (self.matrix.T * self.row_weights[None, :]) / self.col_weights[:, None]
-
-    def gram(self):
-        """Normal matrix, self-adjoint in the column weights."""
-        return self.adjoint_matrix() @ self.matrix
-
     def singular_values(self):
         """Singular values in the weighted norms."""
         b = (np.sqrt(self.row_weights)[:, None] * self.matrix

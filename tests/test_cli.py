@@ -242,6 +242,27 @@ class TestExitCodes:
         assert f"'{kind}.path'" in err
         assert "malformed grid CSV header" in err
 
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    @pytest.mark.parametrize("command, kind", [
+        ("forward", "source"), ("forward", "absorption"), ("symbol", "absorption"),
+    ])
+    def test_nonfinite_grid_csv_exits_one(self, tmp_path, capsys, command, kind,
+                                          value):
+        # The absorption sign check cannot see nan or -inf and the source
+        # disk mask keeps nan, so the CSV reader is where they must stop.
+        raster = np.ones((24, 24))
+        raster[5, 7] = float(value)
+        bad = tmp_path / "bad.csv"
+        formats.write_grid_csv(bad, raster, 1.2)
+        text = TINY + f"{kind}.preset = csv\n{kind}.path = {bad}\n"
+        code, out_dir = launch(tmp_path, command, text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{kind}.path'" in err
+        assert "non-finite" in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_missing_config_flag_exits_one(self, capsys):
         assert cli.main(["forward"]) == 1
         assert "config error:" in capsys.readouterr().err

@@ -2,21 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy import ndimage
 from scipy.integrate import simpson
 
 import rte_tomo as rt
 from rte_tomo.coefficients import (
     _EXTENSION_FRACTION,
-    AngularField,
-    AngularMode,
     TrigPoly,
     extension_profile,
-    harmonic_h1_norm,
-    ray_absorption,
-    sobolev_order_limit,
 )
-from rte_tomo.geometry import boundary_exit, smooth_step
+from rte_tomo.geometry import exit_points, smooth_step
 
 GEOM = rt.DiskGeometry(1.0, 1.2)
 GRID = rt.Grid(48, 48, 1.2)
@@ -42,7 +36,7 @@ class TestAttenuationE:
                                             width=0.3)
         x = np.array([-0.4, 0.25])
         theta = np.array([math.cos(0.7), math.sin(0.7)])
-        _, tau = boundary_exit(GEOM, x, theta)
+        _, tau = exit_points(GEOM, x, theta)
         ts = np.linspace(0.0, tau, 20001)
         pts = x[None, :] + ts[:, None] * theta[None, :]
         svals = sigma.sample(pts, 0.7)
@@ -51,55 +45,20 @@ class TestAttenuationE:
         assert got == pytest.approx(ref, rel=1e-6)
 
 
-class TestAttenuationSigma:
-    def test_zero_length(self):
-        sigma = rt.AbsorptionField.constant(GRID, GEOM, 0.5)
-        assert rt.attenuation_Sigma(sigma, GEOM, (0.2, 0.1), 0.0, (1.0, 0.0)) == pytest.approx(1.0)
-
-    def test_constant_exponential(self):
-        c, s = 0.5, 0.6
-        sigma = rt.AbsorptionField.constant(GRID, GEOM, c)
-        got = rt.attenuation_Sigma(sigma, GEOM, (0.1, 0.0), s, (0.0, 1.0))
-        assert got == pytest.approx(math.exp(-c * s), rel=1e-9)
-
-    def test_multiplicative_along_ray(self):
-        """Attenuation from y splits as segment factor times attenuation from x."""
-        sigma = rt.AbsorptionField.gaussian(GRID, GEOM, 0.8, center=(-0.1, 0.2),
-                                            width=0.35)
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            a = rng.uniform(0.0, 2.0 * math.pi)
-            theta = np.array([math.cos(a), math.sin(a)])
-            x = rng.uniform(-0.4, 0.4, size=2)
-            s = rng.uniform(0.05, 0.5)
-            y = x - s * theta
-            lhs = rt.attenuation_E(sigma, GEOM, y, theta)
-            rhs = rt.attenuation_Sigma(sigma, GEOM, x, s, theta) * \
-                rt.attenuation_E(sigma, GEOM, x, theta)
-            assert lhs == pytest.approx(rhs, rel=1e-8)
-
-    def test_negative_length_rejected(self):
-        sigma = rt.AbsorptionField.zero(GRID)
-        with pytest.raises(ValueError):
-            rt.attenuation_Sigma(sigma, GEOM, (0.0, 0.0), -0.1, (1.0, 0.0))
-
-
-class TestRayAbsorption:
-    def test_nested_radii_additive(self):
-        sigma = rt.AbsorptionField.gaussian(GRID, GEOM, 0.6, width=0.4)
-        theta = np.array([math.cos(1.1), math.sin(1.1)])
-        g = ray_absorption(sigma, GEOM, np.array([0.1, -0.3]), theta,
-                           [0.2, 0.5, 0.7], 1.2 / 512)
-        assert np.all(np.diff(g) > 0.0)
-        g2 = ray_absorption(sigma, GEOM, np.array([0.1, -0.3]), theta,
-                            [0.5], 1.2 / 512)
-        assert g[1] == pytest.approx(g2[0], abs=1e-15)
-
-
 class TestAbsorptionPresets:
     def test_constant_negative_rejected(self):
         with pytest.raises(ValueError):
             rt.AbsorptionField.constant(GRID, GEOM, -0.2)
+
+    @pytest.mark.parametrize("pixel", [(24, 24), (0, 0)], ids=["centre", "corner"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf])
+    def test_nonfinite_raster_rejected(self, value, pixel):
+        # The corner lies outside the extension, where the raster is tapered
+        # to 0 and inf * 0 is nan.
+        raster = np.ones((GRID.ny, GRID.nx))
+        raster[pixel] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            rt.AbsorptionField.from_raster(GRID, GEOM, raster)
 
     def test_anisotropic_must_stay_nonnegative(self):
         with pytest.raises(ValueError):
@@ -196,65 +155,3 @@ class TestTrigPoly:
         a = np.linspace(0.0, 2.0 * math.pi, 17)
         expect = 0.5 + 0.2 * np.cos(a) - 0.3 * np.sin(a) + 0.1 * np.cos(3 * a)
         assert np.allclose(p.eval(a), expect)
-
-    def test_h1_norm_orthogonality(self):
-        # cos(2a) has squared H1 circle norm pi * (1 + 4)
-        p = TrigPoly.harmonic(2, "cos", 1.0)
-        assert p.h1_norm() == pytest.approx(math.sqrt(math.pi * 5.0))
-
-
-class TestModeNorms:
-    def test_zero_field(self):
-        f = rt.AbsorptionField.zero(GRID)
-        report = rt.mode_norms(f, order=1)
-        assert report.aggregate == 0.0
-
-    def test_single_gaussian_mode_factorizes(self):
-        c = GRID.centers()
-        raster = np.exp(-(c[..., 0] ** 2 + c[..., 1] ** 2) / (2 * 0.3 ** 2))
-        field = AngularField(GRID, (AngularMode(0, "cos", raster),))
-        report = rt.mode_norms(field, order=0)
-        l2 = rt.sobolev_raster_norm(GRID, raster, 0)
-        assert report.aggregate == pytest.approx(l2 * harmonic_h1_norm(0, "cos"),
-                                                 rel=1e-12)
-
-    def test_mollified_field_has_smaller_high_order_aggregate(self):
-        rng = np.random.default_rng(12)
-        rough = rng.standard_normal((GRID.ny, GRID.nx))
-        smooth = ndimage.gaussian_filter(rough, 2.0)
-        f_rough = AngularField(GRID, (AngularMode(0, "cos", rough),))
-        f_smooth = AngularField(GRID, (AngularMode(0, "cos", smooth),))
-        hi = rt.mode_norms(f_rough, order=2).aggregate
-        lo = rt.mode_norms(f_smooth, order=2).aggregate
-        assert lo < hi
-
-    def test_phase_space_array_accepted(self):
-        vals = np.zeros((8, GRID.ny, GRID.nx))
-        vals[0] = 1.0
-        report = rt.mode_norms(vals, order=0, grid=GRID)
-        assert report.aggregate > 0.0
-
-
-class TestSobolevRasterNorm:
-    def test_order_zero_is_l2(self):
-        rng = np.random.default_rng(21)
-        raster = rng.standard_normal((GRID.ny, GRID.nx))
-        got = rt.sobolev_raster_norm(GRID, raster, 0)
-        ref = math.sqrt(float(np.sum(raster ** 2)) * GRID.pixel_area)
-        assert got == pytest.approx(ref, rel=1e-12)
-
-    def test_orders_nest(self):
-        rng = np.random.default_rng(22)
-        raster = rng.standard_normal((GRID.ny, GRID.nx))
-        n0 = rt.sobolev_raster_norm(GRID, raster, 0)
-        n1 = rt.sobolev_raster_norm(GRID, raster, 1)
-        n2 = rt.sobolev_raster_norm(GRID, raster, 2)
-        assert n0 < n1 < n2
-
-    def test_order_limit_enforced(self):
-        limit = sobolev_order_limit(GRID)
-        raster = np.ones((GRID.ny, GRID.nx))
-        with pytest.raises(ValueError):
-            rt.sobolev_raster_norm(GRID, raster, limit + 1)
-        with pytest.raises(ValueError):
-            rt.sobolev_raster_norm(GRID, raster, -1)

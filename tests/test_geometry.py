@@ -6,16 +6,13 @@ import pytest
 
 import rte_tomo as rt
 from rte_tomo.geometry import (
-    boundary_exit,
-    boundary_weight,
-    chord,
     cutoff_eval,
     cutoff_extended,
     exit_points,
+    exit_times,
     microvisible,
     smooth_step,
     visible_mask,
-    invisible_mask,
     convex_hull_mask,
 )
 
@@ -38,18 +35,18 @@ def bisect_exit(radius, x, theta):
 
 class TestBoundaryExit:
     def test_center_straight_out(self):
-        z, t = boundary_exit(GEOM, (0.0, 0.0), (1.0, 0.0))
+        z, t = exit_points(GEOM, (0.0, 0.0), (1.0, 0.0))
         assert np.allclose(z, (1.0, 0.0))
         assert t == pytest.approx(1.0)
 
     def test_collinear_with_center(self):
-        z, t = boundary_exit(GEOM, (0.5, 0.0), (1.0, 0.0))
+        z, t = exit_points(GEOM, (0.5, 0.0), (1.0, 0.0))
         assert np.allclose(z, (1.0, 0.0))
         assert t == pytest.approx(0.5)
 
     def test_offset_point_matches_bisection(self):
         x, theta = (0.0, 0.5), (1.0, 0.0)
-        z, t = boundary_exit(GEOM, x, theta)
+        z, t = exit_points(GEOM, x, theta)
         t_ref = bisect_exit(1.0, x, theta)
         assert t == pytest.approx(t_ref, abs=1e-9)
         assert t == pytest.approx(0.86603, abs=1e-5)
@@ -63,53 +60,22 @@ class TestBoundaryExit:
             x = (r * math.cos(a), r * math.sin(a))
             b = rng.uniform(0.0, 2.0 * math.pi)
             theta = (math.cos(b), math.sin(b))
-            _, t = boundary_exit(GEOM_WIDE, x, theta)
+            _, t = exit_points(GEOM_WIDE, x, theta)
             assert t == pytest.approx(bisect_exit(1.2, x, theta), abs=1e-8)
 
 
 class TestChord:
-    def test_diameter(self):
-        ray = chord(GEOM, (1.0, 0.0), (1.0, 0.0))
-        assert ray.t_minus == pytest.approx(-2.0)
-        assert ray.t_plus == pytest.approx(0.0, abs=1e-12)
+    """The backward chord from boundary point z along -theta has length
+    2 R cos(gamma), gamma the angle between theta and the outward normal."""
 
-    def test_tangent_direction_rejected(self):
-        with pytest.raises(ValueError):
-            chord(GEOM, (1.0, 0.0), (0.0, 1.0))
+    def test_diameter(self):
+        assert exit_times(GEOM, (1.0, 0.0), (-1.0, 0.0)) == pytest.approx(2.0)
+        assert exit_times(GEOM, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_45_degree_chord_length(self):
-        # length of a chord hitting the circle at angle gamma to the
-        # inward normal is 2 R cos(gamma)
         s = math.sqrt(0.5)
-        ray = chord(GEOM, (1.0, 0.0), (s, s))
-        assert ray.t_minus == pytest.approx(-math.sqrt(2.0), abs=1e-12)
-
-    def test_chord_endpoints_on_circle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = rng.uniform(0.0, 2.0 * math.pi)
-            z = (1.2 * math.cos(a), 1.2 * math.sin(a))
-            b = a + math.pi + rng.uniform(-1.0, 1.0)
-            theta = (math.cos(b), math.sin(b))
-            try:
-                ray = chord(GEOM_WIDE, z, theta)
-            except ValueError:
-                continue
-            for t in (ray.t_minus, ray.t_plus):
-                p = ray.point(t)
-                assert np.hypot(p[0], p[1]) == pytest.approx(1.2, abs=1e-9)
-
-
-class TestBoundaryWeight:
-    def test_normal_incidence(self):
-        assert boundary_weight(GEOM, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(1.0)
-
-    def test_tangential(self):
-        assert boundary_weight(GEOM, (1.0, 0.0), (0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
-
-    def test_cos_45(self):
-        s = math.sqrt(0.5)
-        assert boundary_weight(GEOM, (1.0, 0.0), (s, s)) == pytest.approx(0.70711, abs=1e-5)
+        assert exit_times(GEOM, (1.0, 0.0), (-s, -s)) == pytest.approx(math.sqrt(2.0),
+                                                                       abs=1e-12)
 
 
 class TestSmoothStep:
@@ -262,7 +228,7 @@ class TestMicrovisible:
         assert np.array_equal(batch, single)
 
     def test_masks_are_all_and_none_of_the_predicate(self):
-        """visible/invisible masks equal all/none of a per-pixel scalar loop."""
+        """The visible mask equals all of a per-pixel scalar loop."""
         spec = rt.CutoffSpec.from_arcs([(0.4, 2.6), (3.5, 4.4)],
                                        cones=[0.5, 0.3], transition_width=0.2)
         grid = rt.Grid(16, 16, 1.2)
@@ -270,19 +236,14 @@ class TestMicrovisible:
         omega = grid.disk_mask(1.0)
         centers = grid.centers()
         expect_all = np.zeros_like(omega)
-        expect_none = np.zeros_like(omega)
         for iy, ix in zip(*np.nonzero(omega)):
             seen = [bool(microvisible(spec, GEOM_WIDE, centers[iy, ix],
                                       (math.cos(a), math.sin(a))))
                     for a in 2.0 * math.pi * np.arange(n_theta) / n_theta]
             expect_all[iy, ix] = all(seen)
-            expect_none[iy, ix] = not any(seen)
         vis = visible_mask(spec, GEOM_WIDE, grid, n_theta=n_theta).visible
-        inv = invisible_mask(spec, GEOM_WIDE, grid, n_theta=n_theta).visible
         assert 0 < expect_all.sum() < omega.sum()
-        assert 0 < expect_none.sum() < omega.sum()
         assert np.array_equal(vis, expect_all)
-        assert np.array_equal(inv, expect_none)
 
     def test_stacked_input_checks(self):
         spec = rt.CutoffSpec.full_data()
@@ -315,13 +276,6 @@ class TestVisibleMask:
         # hull of the right half circle of radius R1 is the segment x >= 0
         half_disk = (c[..., 0] >= 2.0 * grid.hx) & grid.disk_mask(1.0 - 2.0 * grid.hx)
         assert np.all(vis.visible[half_disk])
-
-    def test_invisible_mask_disjoint_from_visible(self):
-        grid = rt.Grid(32, 32, 1.2)
-        spec = rt.CutoffSpec.from_arcs([(0.0, math.pi)])
-        vis = visible_mask(spec, GEOM_WIDE, grid)
-        inv = invisible_mask(spec, GEOM_WIDE, grid)
-        assert not np.any(vis.visible & inv.visible)
 
 
 class TestConvexHullMask:
@@ -379,6 +333,6 @@ class TestGrid:
         thetas = np.stack([np.cos(angs), np.sin(angs)], axis=1)
         z, t = exit_points(GEOM_WIDE, pts, thetas)
         for i in range(30):
-            zi, ti = boundary_exit(GEOM_WIDE, pts[i], thetas[i])
-            assert np.allclose(z[i], zi, atol=1e-10)
+            ti = bisect_exit(1.2, pts[i], thetas[i])
+            assert np.allclose(z[i], pts[i] + ti * thetas[i], atol=1e-10)
             assert t[i] == pytest.approx(ti, abs=1e-10)
