@@ -308,7 +308,8 @@ def build_absorption(cfg, grid, geom):
                 grid, geom, cfg.absorption_base, cfg.absorption_amplitude,
                 order=cfg.absorption_order)
         if preset == "csv":
-            raster, _ = formats.read_grid_csv(_existing_path(cfg.absorption_path))
+            raster, radius = formats.read_grid_csv(_existing_path(cfg.absorption_path))
+            _check_csv_radius("absorption.path", radius, geom)
             if raster.shape != (grid.ny, grid.nx):
                 raise ConfigError("absorption CSV shape does not match grid.nx/ny")
             return AbsorptionField.from_raster(grid, geom, raster)
@@ -398,13 +399,21 @@ def build_source(cfg, grid, geom):
         return rasterize(phantom, grid, geom), None
     if preset == "csv":
         try:
-            raster, _ = formats.read_grid_csv(_existing_path(cfg.source_path))
+            raster, radius = formats.read_grid_csv(_existing_path(cfg.source_path))
         except ValueError as exc:
             raise ConfigError(f"'source.path' is not a grid CSV: {exc}") from None
+        _check_csv_radius("source.path", radius, geom)
         if raster.shape != (grid.ny, grid.nx):
             raise ConfigError("source CSV shape does not match grid.nx/ny")
         return raster * grid.disk_mask(geom.radius_inner), None
     raise ConfigError(f"unknown source preset '{preset}'")
+
+
+def _check_csv_radius(key, radius, geom):
+    """Refuse a grid CSV whose header radius is not geometry.R1."""
+    if not abs(radius - geom.radius_outer) <= 1e-12 * geom.radius_outer:
+        raise ConfigError(f"'{key}' holds a grid for R1 = {radius!r}, but "
+                          f"geometry.R1 = {geom.radius_outer!r}")
 
 
 def _existing_path(text):

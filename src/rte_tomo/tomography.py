@@ -36,8 +36,6 @@ from .transport import BoundaryData, ray_nodes, ray_points, source_raster
 
 TWO_PI = 2.0 * math.pi
 
-# Unit-source columns measured per xv_apply call during matrix assembly.
-ASSEMBLY_BATCH = 64
 # Pixel rows per block of the singular-kernel quadrature, and the direction
 # angles its attenuation and cutoff profiles are tabulated at.
 KERNEL_CHUNK = 256
@@ -390,29 +388,24 @@ class OperatorMatrix:
 
 
 def assemble_xv_matrix(solver, spec, n_terms, col_pixels=None):
-    """Assemble the measurement operator column by column.
+    """Assemble the measurement operator from unit pixel sources.
 
     Columns march in increasing pixel index; each is the measurement of a
     unit pixel source summed to n_terms scattering terms, so at
     series_length(solver) the matrix and the iterative application agree.
-    col_pixels defaults to the source-disk pixels.
+    solver.xv_columns measures them, summing the series in the kernel's
+    moment space where it can.  col_pixels defaults to the source-disk
+    pixels.
     """
-    grid = solver.grid
     if col_pixels is None:
         col_pixels = np.nonzero(solver._omega_flat)[0]
     col_pixels = np.asarray(col_pixels, dtype=np.intp)
     n_rows = solver.bgrid.n_bdry * solver.n_theta
-    matrix = np.empty((n_rows, len(col_pixels)))
-    for start in range(0, len(col_pixels), ASSEMBLY_BATCH):
-        idx = col_pixels[start:start + ASSEMBLY_BATCH]
-        f = np.zeros((grid.n_pixels, len(idx)))
-        f[idx, np.arange(len(idx))] = 1.0
-        b = solver.xv_apply(f, spec, n_terms)
-        matrix[:, start:start + len(idx)] = b.reshape(n_rows, len(idx))
+    matrix = solver.xv_columns(col_pixels, spec, n_terms).reshape(n_rows, len(col_pixels))
     return OperatorMatrix(
         matrix=matrix,
         row_weights=solver.bgrid.measure.reshape(-1).copy(),
-        col_weights=np.full(len(col_pixels), grid.pixel_area),
+        col_weights=np.full(len(col_pixels), solver.grid.pixel_area),
         col_pixels=col_pixels,
     )
 
@@ -445,9 +438,11 @@ def _gradient_magnitude(raster, grid):
 def normal_operator_full(solver, spec, f, method="auto"):
     """X*X f with its ballistic part and scattering remainder.
 
-    The adjoint is the weighted transpose of the assembled matrix on small
-    grids, or the transposed source iteration at matched series length on
-    large ones; the two agree to roundoff by construction.
+    On small grids the adjoint is the weighted transpose of the matrix that
+    assemble_xv_matrix builds (its series summed in the kernel's moment
+    space where that is cheaper); on large ones it is the transposed source
+    iteration at matched series length.  The two agree to roundoff by
+    construction.
     """
     if method not in ("auto", "matrix", "iterative"):
         raise ValueError("method must be 'auto', 'matrix', or 'iterative'")

@@ -81,6 +81,12 @@ SIGN_CHECK_ENTRIES = 2**20
 POWER_STEPS = 30
 POWER_SEED = 0
 
+# Unit-source columns per sweep in xv_columns and in the moment-matrix build.
+_ASSEMBLY_BATCH = 64
+# Largest moment-space dimension D whose (D, D) moment matrix a solver builds
+# and keeps (8 MiB).
+MOMENT_MAX_DIM = 1024
+
 
 class NonConvergenceError(RuntimeError):
     """Raised when the scattering fixed point cannot be trusted to converge."""
@@ -248,6 +254,14 @@ def ray_nodes(step, lengths):
     return lattice, n, nodes
 
 
+def _unit_sources(n_pixels, pixels):
+    """(n_pixels, len(pixels)) raster columns, column c the unit source at
+    pixels[c]."""
+    f = np.zeros((n_pixels, len(pixels)))
+    f[pixels, np.arange(len(pixels))] = 1.0
+    return f
+
+
 def ray_points(origins, counts, dist, direction):
     """Points origins + dist * direction, ray after ray.
 
@@ -286,6 +300,8 @@ class TransportSolver:
         self._trace_ops = {}
         self._march_A = None
         self._k_tables = None
+        self._moment_space = None
+        self._moment_C = None
         self.certificate = None
         self._chi_cache = {}
 
@@ -410,6 +426,112 @@ class TransportSolver:
             gbar[i - 1] += h2 * Ai * c
             c = Ai * c
         return (to_all.T @ self._from_columns(gbar)).reshape(values.shape)
+
+    # -- scattering moment space ---------------------------------------------
+
+    def moment_layout(self):
+        """(S, live) of the kernel's moment space, built once.
+
+        k_apply is K = E M: M takes the moments w_theta * trig @ u of a field
+        and E spreads them back through theta_mat and ka.  S lists the pixels
+        where some row of ka is nonzero; live lists, as flat indices into
+        (len(S), T) in pixel-major order, the moments (pixel, row) where ka is
+        nonzero, the only ones E reads.  len(live) is the dimension D of the
+        moment space; a zero kernel has D = 0.
+        """
+        if self._moment_space is None:
+            _, ka, _ = self._k_matrices()
+            support = np.flatnonzero(np.any(ka != 0.0, axis=0))
+            live = np.flatnonzero(ka[:, support].T.reshape(-1) != 0.0)
+            self._moment_space = (support, live)
+        return self._moment_space
+
+    def moment_matrix(self):
+        """C = M T1^{-1} E on the live moments, (D, D), built once.
+
+        T1 acts on each direction alone, so one sweep of J e_p gives every
+        column (b, p) at pixel p: with U = T1^{-1} J e_p, column (b, p) holds
+        w_theta * ka[b, p] * sum_q trig[a, q] theta_mat[b, q] U[q, m] in row
+        (m, a).  The trig x theta_mat products over q are one product with
+        a (T^2, n_theta) table.  Pixels of S are swept in blocks small enough
+        that no temporary outgrows an (n_theta, N, _ASSEMBLY_BATCH) batch.
+        """
+        if self._moment_C is None:
+            trig, ka, theta_mat = self._k_matrices()
+            support, live = self.moment_layout()
+            n_t, n_s = len(trig), len(support)
+            pairs = (trig[:, None] * theta_mat[None]).reshape(-1, self.n_theta)
+            # Live moment (pixel of S, row) pairs: rows (m, a) and columns
+            # (p, b) of C, gathered from the (a, b, m, p) product.
+            pix, row = np.divmod(live, n_t)
+            C = np.empty((len(live), len(live)))
+            block = max(1, _ASSEMBLY_BATCH * self.n_theta // max(self.n_theta, n_t * n_t))
+            for first in range(0, n_s, block):
+                swept = support[first:first + block]
+                f = _unit_sources(self.grid.n_pixels, swept)
+                u = self.t1_apply(self.j_apply(f))[:, support]
+                g = (pairs @ u.reshape(self.n_theta, -1)).reshape(n_t, n_t, n_s, len(swept))
+                g *= self.w_theta * ka[None, :, None, swept]
+                cols = (pix >= first) & (pix < first + len(swept))
+                C[:, cols] = g[row[:, None], row[cols], pix[:, None], pix[cols] - first]
+            self._moment_C = C
+        return self._moment_C
+
+    def xv_columns(self, pixels, spec, n_terms):
+        """xv_apply on the unit sources at pixels: (n_bdry, n_theta, len(pixels)).
+
+        With a scattering term (n_terms >= 1) and a moment space of at most
+        MOMENT_MAX_DIM dimensions, the series is summed with moment_matrix()
+        (_xv_moments): one sweep per column, plus |S| sweeps the first time
+        C is built.  Otherwise each block of _ASSEMBLY_BATCH columns takes
+        n_terms sweeps through xv_apply.  The choice depends on the inputs
+        only, never on what the solver has cached.
+        """
+        pixels = np.asarray(pixels, dtype=np.intp)
+        blocks = [slice(first, first + _ASSEMBLY_BATCH)
+                  for first in range(0, len(pixels), _ASSEMBLY_BATCH)]
+        if n_terms >= 1 and len(self.moment_layout()[1]) <= MOMENT_MAX_DIM:
+            return self._xv_moments(pixels, blocks, spec, n_terms)
+        out = np.empty((self.bgrid.n_bdry, self.n_theta, len(pixels)))
+        for blk in blocks:
+            f = _unit_sources(self.grid.n_pixels, pixels[blk])
+            out[..., blk] = self.xv_apply(f, spec, n_terms)
+        return out
+
+    def _xv_moments(self, pixels, blocks, spec, n_terms):
+        """xv_columns summed in the moment space, for n_terms >= 1.
+
+        sum_{j<=n} (K T1^{-1})^j J f = J f + E sum_{i<n} C^i b with
+        b = M T1^{-1} J f on the live moments: one sweep per column, n - 1
+        products with moment_matrix() and one E, the same polynomial as
+        xv_apply summed in another order.  Columns are swept and traced in
+        blocks, but the series runs on all of them at once, so its products
+        with C are few and large.  The trace takes J f as its raster part.
+        """
+        trig, ka, theta_mat = self._k_matrices()
+        support, live = self.moment_layout()
+        C = self.moment_matrix()
+        n_pixels = self.grid.n_pixels
+        b = np.empty((len(live), len(pixels)))
+        for blk in blocks:
+            f = _unit_sources(n_pixels, pixels[blk])
+            u = self.t1_apply(self.j_apply(f))[:, support]
+            b[:, blk] = self.w_theta * np.einsum("tq,qsb->stb", trig, u).reshape(
+                -1, f.shape[1])[live]
+        z = b
+        for _ in range(n_terms - 1):
+            z = b + C @ z
+        ka_s = ka[:, support].T[..., None]
+        out = np.empty((self.bgrid.n_bdry, self.n_theta, len(pixels)))
+        for blk in blocks:
+            f = _unit_sources(n_pixels, pixels[blk])
+            moments = np.zeros((len(support) * len(trig), f.shape[1]))
+            moments[live] = z[:, blk]
+            moments = moments.reshape(len(support), len(trig), f.shape[1])
+            scatter = np.zeros((self.n_theta,) + f.shape)
+            scatter[:, support] = np.einsum("tq,stb->qsb", theta_mat, ka_s * moments)
+            out[..., blk] = self.trace_phase(scatter, f, spec)
+        return out
 
     # -- boundary trace -----------------------------------------------------
 

@@ -263,6 +263,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("kind", ["source", "absorption"])
+    def test_grid_csv_for_another_disk_exits_one(self, tmp_path, capsys, kind):
+        grid_csv = tmp_path / "grid.csv"
+        formats.write_grid_csv(grid_csv, np.full((24, 24), 0.5), 1.3)
+        text = TINY + f"{kind}.preset = csv\n{kind}.path = {grid_csv}\n"
+        code, out_dir = launch(tmp_path, "forward", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{kind}.path'" in err
+        assert "R1 = 1.3" in err
+        assert not out_dir.exists()
+        # The same grid written for this disk is accepted.
+        formats.write_grid_csv(grid_csv, np.full((24, 24), 0.5), 1.2)
+        code, out_dir = launch(tmp_path, "forward", text)
+        assert code == 0
+        assert (out_dir / "report.txt").exists()
+
     def test_missing_config_flag_exits_one(self, capsys):
         assert cli.main(["forward"]) == 1
         assert "config error:" in capsys.readouterr().err

@@ -17,13 +17,11 @@ from rte_tomo.geometry import (
     visible_mask,
 )
 from rte_tomo import tomography
-from rte_tomo.phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
+from rte_tomo.phantoms import ConstantPhantom, DiskPhantom
 from rte_tomo.tomography import (
     attenuation_stack,
     cutoff_stack,
     edge_strengths,
-    EdgeReport,
-    OperatorMatrix,
     adjoint_ray_transform,
     assemble_xv_matrix,
     high_frequency_fraction,
@@ -39,6 +37,7 @@ from rte_tomo.tomography import (
     wavefront_image,
 )
 from rte_tomo.transport import (
+    MOMENT_MAX_DIM,
     BoundaryData,
     BoundaryGrid,
     PhaseSpaceField,
@@ -500,6 +499,95 @@ class TestSvdInjectivity:
         rhs = float(np.sum(v * op.apply_adjoint(w) * op.col_weights))
         scale = np.linalg.norm(v) * np.linalg.norm(w)
         assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+TWO_ARCS = CutoffSpec.from_arcs([(0.2, 1.4), (3.0, 4.6)], transition_width=0.3)
+
+
+def _scattering_solver(kind, nx=12):
+    """Isotropic kernel over constant absorption, or Henyey-Greenstein with
+    three modes over Gaussian absorption, at 8 directions."""
+    grid = Grid(nx, nx, 1.2)
+    if kind == "isotropic":
+        sigma = AbsorptionField.constant(grid, GEOM, 0.3)
+        kernel = ScatteringKernel.isotropic(grid, GEOM, 0.4)
+    else:
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.7, center=(-0.1, 0.2), width=0.35)
+        kernel = ScatteringKernel.henyey_greenstein(grid, GEOM, 0.4, 0.5, n_modes=3)
+    return TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel, n_theta=8, n_bdry=32)
+
+
+def _count_xv_apply(monkeypatch, solver):
+    calls = []
+    xv_apply = solver.xv_apply
+    monkeypatch.setattr(solver, "xv_apply",
+                        lambda f, spec, n: calls.append(n) or xv_apply(f, spec, n))
+    return calls
+
+
+class TestMomentAssembly:
+    """assemble_xv_matrix summing its series with the moment matrix C."""
+
+    @pytest.mark.parametrize("n_terms", [1, 2, "series"])
+    @pytest.mark.parametrize("kind", ["isotropic", "henyey-greenstein"])
+    def test_columns_match_xv_apply(self, monkeypatch, kind, n_terms):
+        solver = _scattering_solver(kind)
+        if n_terms == "series":
+            n_terms = series_length(solver)
+        n = solver.grid.n_pixels
+        ref = solver.xv_apply(np.eye(n), TWO_ARCS, n_terms).reshape(-1, n)
+        calls = _count_xv_apply(monkeypatch, solver)
+        op = assemble_xv_matrix(solver, TWO_ARCS, n_terms, col_pixels=np.arange(n))
+        assert calls == []
+        assert np.max(np.abs(op.matrix - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind, nx, n_terms", [
+        ("henyey-greenstein", 16, 2),     # D = 1344 > MOMENT_MAX_DIM
+        ("isotropic", 12, 0),             # no scattering term
+    ], ids=["moment-space-too-large", "no-terms"])
+    def test_falls_back_to_xv_apply(self, monkeypatch, kind, nx, n_terms):
+        solver = _scattering_solver(kind, nx)
+        assert (len(solver.moment_layout()[1]) > MOMENT_MAX_DIM) == (n_terms > 0)
+        cols = np.nonzero(solver._omega_flat)[0]
+        calls = _count_xv_apply(monkeypatch, solver)
+        op = assemble_xv_matrix(solver, TWO_ARCS, n_terms, col_pixels=cols)
+        assert op.cols == len(cols)
+        assert calls and all(n == n_terms for n in calls)
+        assert solver._moment_C is None
+
+    def test_svd_builds_the_moment_matrix_once(self, monkeypatch):
+        solver = _scattering_solver("isotropic", nx=16)
+        mask = visible_mask(HALF, GEOM, solver.grid)
+        series_length(solver)
+        swept, traced = [], []
+        t1_apply, trace_phase = solver.t1_apply, solver.trace_phase
+        monkeypatch.setattr(solver, "t1_apply",
+                            lambda v: swept.append(v.shape[2]) or t1_apply(v))
+        monkeypatch.setattr(solver, "trace_phase", lambda s, f, spec=None: (
+            traced.append(s.shape[2]) or trace_phase(s, f, spec)))
+        calls = _count_xv_apply(monkeypatch, solver)
+        svd_injectivity(solver, HALF, mask)
+        support, _ = solver.moment_layout()
+        assert calls == []
+        assert len(traced) == 2         # one block for each support
+        assert sum(swept) == len(support) + sum(traced)
+
+    @pytest.mark.parametrize("kernel", ["no-terms", "zero-raster"])
+    def test_zero_kernel_with_terms(self, monkeypatch, kernel):
+        grid = Grid(12, 12, 1.2)
+        k = (ScatteringKernel.zero(grid) if kernel == "no-terms"
+             else ScatteringKernel.isotropic(grid, GEOM, 0.0))
+        solver = TransportSolver(GEOM, grid, sigma=AbsorptionField.constant(grid, GEOM, 0.3),
+                                 kernel=k, n_theta=8, n_bdry=32)
+        calls = _count_xv_apply(monkeypatch, solver)
+        op = assemble_xv_matrix(solver, TWO_ARCS, 3)
+        assert calls == []
+        assert solver.moment_matrix().shape == (0, 0)
+        # n_terms = 0 still takes xv_apply, which sweeps nothing.
+        ballistic = assemble_xv_matrix(solver, TWO_ARCS, 0)
+        assert calls and set(calls) == {0}
+        np.testing.assert_array_equal(op.matrix, ballistic.matrix)
+        assert np.any(op.matrix != 0.0)
 
 
 class TestSmoothingDiagnostic:
