@@ -33,7 +33,6 @@ from .geometry import (
     VisibilityMask,
     convex_hull_mask,
     cutoff_eval,
-    cutoff_extended,
     microvisible,
     visible_mask,
 )

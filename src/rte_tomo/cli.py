@@ -47,8 +47,9 @@ MAX_TRACE_CELLS = 2**21
 # and march factors keep 112 bytes per pixel-direction and a scattering solve
 # peaks near 180, so the cap keeps a solve near 750 MiB; the default 64x64
 # grid with 64 directions has 2**18.  The same cap bounds nx * ny * symbol.n_xi:
-# the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction,
-# and its attenuation stack one block of STACK_BLOCK_NODES lattice nodes.
+# the symbol keeps four (n_xi, N) float arrays, 32 bytes a pixel-direction;
+# its attenuation stack keeps three at most (exit times and G besides its
+# result) and one block of coefficients.STACK_BLOCK_NODES lattice nodes.
 # It also bounds the Henyey-Greenstein preset's scattering table,
 # (2 scattering.n_modes + 1) * nx * ny floats: the solver keeps one kernel
 # raster per harmonic, and each scattering product one moment per harmonic,

@@ -297,15 +297,6 @@ def cutoff_extended_values(spec, geom, points, thetas):
     return cutoff_boundary_values(spec, phi, m)
 
 
-def cutoff_extended(spec, geom, x, theta):
-    """chi^#(x, theta) for a single interior point; same path as cutoff_eval."""
-    x = np.asarray(x, dtype=float)
-    theta = _check_unit(theta)
-    if np.linalg.norm(x) > geom.radius_outer * (1.0 + 1e-12):
-        raise ValueError("point lies outside the outer disk")
-    return float(cutoff_extended_values(spec, geom, x, theta))
-
-
 # ---------------------------------------------------------------------------
 # visibility sets
 # ---------------------------------------------------------------------------

@@ -20,19 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .coefficients import attenuation_E
+from .coefficients import angle_of, ray_absorption, ray_step
 from .geometry import (
     exit_points,
     exit_times,
     cutoff_boundary_values,
-    cutoff_extended,
     cutoff_extended_values,
     microvisible,
     rotate90,
     uniform_angles,
     unit_vector,
 )
-from .transport import BoundaryData, ray_nodes, ray_points, source_raster
+from .transport import BoundaryData, source_raster
 
 TWO_PI = 2.0 * math.pi
 
@@ -45,9 +44,6 @@ DENSE_MAX_PIXELS = 1024
 DENSE_MAX_THETA = 32
 # Edge-response window in pixels; see edge_strengths.
 EDGE_WINDOW = 3
-# Lattice nodes laid out at once by attenuation_stack.  A block peaks near
-# 45 bytes a node (tracemalloc, Gaussian absorption), about 47 MiB.
-STACK_BLOCK_NODES = 2**20
 
 
 def dense_fits(solver):
@@ -83,40 +79,20 @@ def series_length(solver):
 def attenuation_stack(sigma, geom, grid, angles, step=None):
     """E(x, theta) on all pixels for each direction angle, shape (n, N).
 
-    Forward trapezoid integral of sigma from the pixel to its exit time tau,
-    ray by ray: the m lattice nodes step * k below tau, then tau, so m live
-    cells and no padding.  Sigma is sampled once per node and G is one
-    reduction per ray over its cells.  Pixels are taken in blocks of at most
-    STACK_BLOCK_NODES nodes, so memory does not grow with the grid.  Pixels
-    outside the outer disk get the neutral value 1.
+    One ray_absorption fan per angle, from the pixels to their exit times
+    (default step half a pixel width).  Pixels outside the outer disk get 1.
     """
     if step is None:
         step = 0.5 * grid.hx
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     out = np.ones((len(angles), grid.n_pixels))
-    if sigma.is_zero:
-        return out
     p = grid.points_flat()[inside]
-    for a, ang in enumerate(angles):
-        th = unit_vector(ang)
-        tau = exit_times(geom, p, th)
-        # A ray has at most n_full + 2 nodes.
-        n_full = int(math.floor(tau.max() / step + 1e-12))
-        block = max(1, STACK_BLOCK_NODES // (n_full + 2))
-        G = np.zeros(len(p))
-        for first in range(0, len(p), block):
-            rays = slice(first, first + block)
-            _, m, nodes = ray_nodes(step, tau[rays])
-            sig = sigma.sample(ray_points(p[rays], m + 1, nodes, th), float(ang))
-            # Neighbouring nodes bound a cell unless they belong to two rays.
-            cell = np.ones(len(nodes) - 1, dtype=bool)
-            cell[np.cumsum(m + 1)[:-1] - 1] = False
-            seg = (0.5 * np.diff(nodes) * (sig[:-1] + sig[1:]))[cell]
-            # A pixel on the outer circle may exit at once and have no cell.
-            live = np.flatnonzero(m)
-            G[first + live] = np.add.reduceat(seg, (np.cumsum(m) - m)[live])
-        out[a, inside] = np.exp(-G)
+    th = unit_vector(angles)
+    # One call, not one per angle: each return frees the block arrays, and
+    # faulting them in again cost 30% of `symbol` at 64x64 (glibc, 2 CPUs).
+    G = ray_absorption(sigma, p, th, exit_times(geom, p[None], th[:, None]), step, angles)
+    out[:, inside] = np.exp(np.negative(G, out=G), out=G)
     return out
 
 
@@ -210,23 +186,32 @@ class SymbolField:
 
 
 def principal_symbol(spec, sigma, geom, x, xi):
-    """b0(x, xi) at a single point and unit covector.
+    """b0(x, xi) over (..., 2) points and unit covectors that broadcast, as
+    in microvisible: an array over their leading shape, 0-d for one pair.
 
     The codirection integral over {theta . xi = 0} collapses to the two
-    directions perpendicular to xi; each contributes |E chi^#| squared.
+    directions perpendicular to xi; each contributes |E chi^#| squared.  E
+    runs back from the exit point at h_ray (symbol_field's from the pixel).
     """
+    x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    if abs(np.linalg.norm(xi) - 1.0) > 1e-6:
+    if np.any(np.abs(np.linalg.norm(xi, axis=-1) - 1.0) > 1e-12):
         raise ValueError("xi must be a unit covector")
-    total = 0.0
-    perp = rotate90(xi)
+    # The squared form of Grid.disk_mask, as in microvisible.
+    limit = geom.radius_outer * (1.0 + 1e-12)
+    if np.any(x[..., 0] ** 2 + x[..., 1] ** 2 > limit * limit):
+        raise ValueError("point lies outside the outer disk")
+    x, perp = np.broadcast_arrays(x, rotate90(xi))
+    h_ray = ray_step(geom.radius_outer)
+    total = np.zeros(x.shape[:-1])
     for th in (perp, -perp):
-        chi = cutoff_extended(spec, geom, x, th)
-        if chi == 0.0:
-            continue
-        e = attenuation_E(sigma, geom, x, th)
-        total += (e * chi) ** 2
-    return TWO_PI * total
+        chi = cutoff_extended_values(spec, geom, x, th)
+        live = chi != 0.0
+        z, tau = exit_points(geom, x[live], th[live])
+        g = ray_absorption(sigma, z, -th[live], tau, h_ray, angle_of(th[live]))
+        total[live] += (np.exp(-g) * chi[live]) ** 2
+    total *= TWO_PI
+    return total
 
 
 def symbol_field(spec, sigma, geom, grid, n_xi=32):

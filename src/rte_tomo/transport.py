@@ -54,7 +54,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._interp import BilinearGather
-from .coefficients import AbsorptionField, ScatteringKernel, ray_step, trig_basis
+from .coefficients import (AbsorptionField, ScatteringKernel, ray_nodes, ray_points,
+                           ray_step, trig_basis)
 from .geometry import uniform_angles, unit_vector
 
 TWO_PI = 2.0 * math.pi
@@ -237,39 +238,12 @@ def _phantom_circles(phantom):
     return list(phantom.jump_circles())
 
 
-def ray_nodes(step, lengths):
-    """Live lattice nodes of rays of the given lengths, ray after ray.
-
-    Ray c gets the n[c] lattice nodes step * k below lengths[c], in order,
-    then lengths[c] itself, so n[c] cells.  Returns (lattice, n, flat nodes);
-    with no rays, the nodes are empty.
-    """
-    n_full = int(math.floor(lengths.max(initial=0.0) / step + 1e-12))
-    lattice = step * np.arange(n_full + 1)
-    n = np.searchsorted(lattice, lengths)
-    last = np.cumsum(n + 1) - 1
-    rank = np.arange(int(np.sum(n + 1))) - np.repeat(last - n, n + 1)
-    nodes = lattice.take(rank, mode="clip")
-    nodes[last] = lengths
-    return lattice, n, nodes
-
-
 def _unit_sources(n_pixels, pixels):
     """(n_pixels, len(pixels)) raster columns, column c the unit source at
     pixels[c]."""
     f = np.zeros((n_pixels, len(pixels)))
     f[pixels, np.arange(len(pixels))] = 1.0
     return f
-
-
-def ray_points(origins, counts, dist, direction):
-    """Points origins + dist * direction, ray after ray.
-
-    counts[c] consecutive distances belong to origins[c].  Returns (n, 2)
-    points whose two columns are contiguous.
-    """
-    return np.stack([np.repeat(origins[:, 0], counts) + dist * direction[0],
-                     np.repeat(origins[:, 1], counts) + dist * direction[1]]).T
 
 
 class TransportSolver:

@@ -206,25 +206,24 @@ def test_criterion_04_symbol_positivity_matches_microvisibility():
     xis = np.array([[math.cos(a), math.sin(a)] for a in angles])
     hard_visible = rt.microvisible(hard, GEOM, pts, xis)
     soft_visible = rt.microvisible(soft, GEOM, pts, xis)
-    hard_bad = 0
+    hard_b0 = rt.principal_symbol(hard, sigma, GEOM, pts, xis)
+    soft_b0 = rt.principal_symbol(soft, sigma, GEOM, pts, xis)
+    hard_bad = int(np.count_nonzero((hard_b0 > 0.0) != hard_visible))
     soft_in_band = 0
     soft_off_band = 0
-    for p, xi, hard_vis, soft_vis in zip(pts, xis, hard_visible, soft_visible):
-        if (rt.principal_symbol(hard, sigma, GEOM, p, xi) > 0.0) != hard_vis:
-            hard_bad += 1
-        if (rt.principal_symbol(soft, sigma, GEOM, p, xi) > 0.0) != soft_vis:
-            # A smooth cutoff may disagree where an exit sits so deep in
-            # the rolloff tail that squaring underflows; such samples must
-            # lie strictly inside a transition band.
-            perp = rotate90(xi)
-            cp = float(cutoff_extended_values(soft, GEOM, p[None, :],
-                                              perp[None, :])[0])
-            cm = float(cutoff_extended_values(soft, GEOM, p[None, :],
-                                              -perp[None, :])[0])
-            if 0.0 < cp < 1.0 or 0.0 < cm < 1.0:
-                soft_in_band += 1
-            else:
-                soft_off_band += 1
+    for i in np.flatnonzero((soft_b0 > 0.0) != soft_visible):
+        # A smooth cutoff may disagree where an exit sits so deep in the
+        # rolloff tail that squaring underflows; such samples must lie
+        # strictly inside a transition band.
+        p, perp = pts[i], rotate90(xis[i])
+        cp = float(cutoff_extended_values(soft, GEOM, p[None, :],
+                                          perp[None, :])[0])
+        cm = float(cutoff_extended_values(soft, GEOM, p[None, :],
+                                          -perp[None, :])[0])
+        if 0.0 < cp < 1.0 or 0.0 < cm < 1.0:
+            soft_in_band += 1
+        else:
+            soft_off_band += 1
     verdict(4, hard_bad == 0 and soft_off_band == 0,
             f"hard cutoff disagreements {hard_bad}/10000 (want 0), smooth "
             f"cutoff off-band {soft_off_band} (want 0, {soft_in_band} in band)")

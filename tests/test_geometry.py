@@ -7,7 +7,7 @@ import pytest
 import rte_tomo as rt
 from rte_tomo.geometry import (
     cutoff_eval,
-    cutoff_extended,
+    cutoff_extended_values,
     exit_points,
     exit_times,
     microvisible,
@@ -187,7 +187,7 @@ class TestCutoffSpec:
     def test_extended_cutoff_constant_along_ray(self):
         spec = rt.CutoffSpec.from_arcs([(-1.0, 1.0)], transition_width=0.2)
         theta = (math.cos(0.3), math.sin(0.3))
-        vals = [cutoff_extended(spec, GEOM_WIDE, (x, -0.1), theta)
+        vals = [cutoff_extended_values(spec, GEOM_WIDE, (x, -0.1), theta)
                 for x in (-0.5, -0.2, 0.0, 0.4)]
         assert np.allclose(vals, vals[0])
 

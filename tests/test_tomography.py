@@ -16,7 +16,7 @@ from rte_tomo.geometry import (
     smooth_step,
     visible_mask,
 )
-from rte_tomo import tomography
+from rte_tomo import coefficients
 from rte_tomo.phantoms import ConstantPhantom, DiskPhantom
 from rte_tomo.tomography import (
     attenuation_stack,
@@ -342,6 +342,55 @@ class TestPrincipalSymbol:
                 assert field.values[q, iy, ix] == pytest.approx(
                     ref, rel=2e-3, abs=1e-9)
 
+    @staticmethod
+    def _pairs(n, seed):
+        rng = np.random.default_rng(seed)
+        rad = np.sqrt(rng.uniform(0.0, 1.0, n)) * 0.95
+        pos = rng.uniform(0.0, TWO_PI, n)
+        ang = rng.uniform(0.0, TWO_PI, n)
+        x = np.stack([rad * np.cos(pos), rad * np.sin(pos)], axis=1)
+        xi = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        return x, xi
+
+    def test_stacked_call_equals_one_pair_calls_bitwise(self):
+        grid = Grid(16, 16, 1.2)
+        sigma = AbsorptionField.cosine_anisotropic(grid, GEOM, 0.5, 0.3, order=2)
+        x, xi = self._pairs(60, 5)
+        got = principal_symbol(HALF_SOFT, sigma, GEOM, x, xi)
+        assert got.shape == (60,)
+        one = [principal_symbol(HALF_SOFT, sigma, GEOM, p, c) for p, c in zip(x, xi)]
+        assert np.array_equal(got, one)
+        assert np.count_nonzero(got) > 10 and np.count_nonzero(got == 0.0) > 0
+
+    def test_single_pair_is_zero_dimensional(self):
+        sigma = AbsorptionField.gaussian(Grid(16, 16, 1.2), GEOM, 0.4, width=0.5)
+        val = principal_symbol(HALF_SOFT, sigma, GEOM, (0.1, 0.2), (0.0, 1.0))
+        assert isinstance(val, np.ndarray) and val.shape == ()
+        assert val > 0.0
+
+    def test_points_broadcast_against_one_covector(self):
+        sigma = AbsorptionField.gaussian(Grid(16, 16, 1.2), GEOM, 0.4, width=0.5)
+        x, _ = self._pairs(40, 6)
+        xi = np.array([math.cos(0.7), math.sin(0.7)])
+        got = principal_symbol(HALF_SOFT, sigma, GEOM, x, xi)
+        ref = principal_symbol(HALF_SOFT, sigma, GEOM, x, np.broadcast_to(xi, x.shape))
+        assert got.shape == (40,)
+        assert np.array_equal(got, ref)
+        grid_pts = principal_symbol(HALF_SOFT, sigma, GEOM, x.reshape(4, 10, 2), xi)
+        assert np.array_equal(grid_pts.reshape(-1), ref)
+
+    def test_one_bad_row_is_refused(self):
+        sigma = AbsorptionField.zero(Grid(16, 16, 1.2))
+        x, xi = self._pairs(20, 7)
+        long_xi = xi.copy()
+        long_xi[13] *= 1.5
+        with pytest.raises(ValueError, match="xi must be a unit covector"):
+            principal_symbol(HALF_SOFT, sigma, GEOM, x, long_xi)
+        far = x.copy()
+        far[4] = (0.0, 1.3)
+        with pytest.raises(ValueError, match="point lies outside the outer disk"):
+            principal_symbol(HALF_SOFT, sigma, GEOM, far, xi)
+
 
 class TestAttenuationStack:
     @staticmethod
@@ -395,7 +444,7 @@ class TestAttenuationStack:
         whole = attenuation_stack(sigma, GEOM, grid, angles)
         # 300 nodes hold a few rays; 7 is below one ray, so one ray a block.
         for nodes in (300, 7):
-            monkeypatch.setattr(tomography, "STACK_BLOCK_NODES", nodes)
+            monkeypatch.setattr(coefficients, "STACK_BLOCK_NODES", nodes)
             assert np.array_equal(attenuation_stack(sigma, GEOM, grid, angles), whole)
 
     def test_one_direction_stays_within_a_block(self):
