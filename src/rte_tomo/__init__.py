@@ -32,7 +32,6 @@ from .geometry import (
     Grid,
     VisibilityMask,
     convex_hull_mask,
-    cutoff_eval,
     microvisible,
     visible_mask,
 )
@@ -42,7 +41,6 @@ from .coefficients import (
     AngularMode,
     ScatteringKernel,
     TrigPoly,
-    attenuation_E,
 )
 from .phantoms import (
     ConstantPhantom,

@@ -8,8 +8,8 @@ polynomial and kappa_j is again a raster-times-harmonics field in theta'.
 
 Absorption line integrals have one integrator, ray_absorption: a trapezoid
 rule on the lattice step * k from each ray's origin.  attenuation_stack
-anchors it at the pixel (+theta, half a pixel width); attenuation_E and
-principal_symbol anchor it at the exit point (-theta, h_ray).
+anchors it at the pixel (+theta, half a pixel width); principal_symbol
+anchors it at the exit point (-theta, h_ray).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._interp import bilinear_sample
-from .geometry import exit_points, smooth_step
+from .geometry import smooth_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -402,13 +402,3 @@ def ray_step(radius_outer, h_ray=None):
     if h_ray is not None and not h_ray >= 0.0:
         raise ValueError(f"h_ray must be nonnegative (0 selects the default), got {h_ray}")
     return h_ray or radius_outer / RAY_STEPS_PER_RADIUS
-
-
-def attenuation_E(sigma, geom, x, theta, h_ray=None):
-    """Attenuation exp(-integral of sigma from x to the boundary along theta)."""
-    h_ray = ray_step(geom.radius_outer, h_ray)
-    theta = np.asarray(theta, dtype=float)
-    z, tau = exit_points(geom, x, theta)
-    g = ray_absorption(sigma, z[None], -theta[None], tau[None], h_ray, angle_of(theta)[None])
-    return float(np.exp(-g[0]))
-

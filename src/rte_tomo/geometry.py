@@ -54,12 +54,6 @@ class DiskGeometry:
                 f"{self.radius_inner!r}, {self.radius_outer!r}"
             )
 
-    def check_on_outer_boundary(self, z, rtol=1e-9):
-        z = np.asarray(z, dtype=float)
-        r = np.linalg.norm(z, axis=-1)
-        if not np.all(np.abs(r - self.radius_outer) <= rtol * self.radius_outer):
-            raise ValueError("point is not on the outer boundary circle")
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -117,14 +111,6 @@ class Grid:
         """Boolean (ny, nx) mask of pixels whose center lies inside the disk."""
         c = self.centers()
         return c[..., 0] ** 2 + c[..., 1] ** 2 < radius * radius
-
-
-def _check_unit(theta):
-    theta = np.asarray(theta, dtype=float)
-    n = np.linalg.norm(theta, axis=-1)
-    if not np.all(np.abs(n - 1.0) <= 1e-12):
-        raise ValueError("direction must be a unit vector")
-    return theta
 
 
 def exit_times(geom, points, thetas):
@@ -273,16 +259,6 @@ def cutoff_boundary_values(spec, boundary_angle, normal_dot):
             arc_f = arc_f * smooth_step(cone - psi, w)
         total = np.maximum(total, arc_f)
     return np.where(m > 0.0, total, 0.0)
-
-
-def cutoff_eval(spec, geom, z, theta):
-    """Cutoff value chi(z, theta) at a boundary point z of the outer circle."""
-    z = np.asarray(z, dtype=float)
-    theta = _check_unit(theta)
-    geom.check_on_outer_boundary(z)
-    phi = math.atan2(z[1], z[0])
-    m = float(np.sum(theta * z)) / geom.radius_outer
-    return float(cutoff_boundary_values(spec, phi, m))
 
 
 def cutoff_extended_values(spec, geom, points, thetas):

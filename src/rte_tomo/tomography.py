@@ -217,25 +217,21 @@ def principal_symbol(spec, sigma, geom, x, xi):
 def symbol_field(spec, sigma, geom, grid, n_xi=32):
     """SymbolField of b0 over all pixels and n_xi covector angles.
 
-    For even n_xi the directions xi - pi/2 are the directions xi + pi/2
-    shifted by n_xi/2, so one attenuation stack and one cutoff stack serve
-    both orientations; odd n_xi computes the two orientations separately.
+    The directions xi_k +- pi/2 lie on the angles 2 pi j / (2 n_xi) + pi/2,
+    at j = 2k and j = 2k - n_xi (mod 2 n_xi): n_xi distinct angles for even
+    n_xi, 2 n_xi for odd.  One attenuation stack and one cutoff stack on
+    them serve both orientations.
     """
     xi_angles = uniform_angles(n_xi)
     inside = grid.disk_mask(geom.radius_outer).reshape(-1)
-
-    def orientation(sign):
-        perp_angles = xi_angles + sign * 0.5 * math.pi
-        e = attenuation_stack(sigma, geom, grid, perp_angles)
-        chi = cutoff_stack(spec, geom, grid, perp_angles)
-        return (e * chi) ** 2
-
-    values = orientation(+1.0)
-    if n_xi % 2 == 0:
-        # xi_k - pi/2 is the +pi/2 direction of xi_{k - n_xi/2}.
-        values += np.roll(values, n_xi // 2, axis=0)
-    else:
-        values += orientation(-1.0)
+    plus = 2 * np.arange(n_xi)
+    used, at = np.unique(np.concatenate([plus, (plus - n_xi) % (2 * n_xi)]),
+                         return_inverse=True)
+    perp_angles = uniform_angles(2 * n_xi)[used] + 0.5 * math.pi
+    e = attenuation_stack(sigma, geom, grid, perp_angles)
+    chi = cutoff_stack(spec, geom, grid, perp_angles)
+    values = (e * chi) ** 2
+    values = values[at[:n_xi]] + values[at[n_xi:]]
     values *= TWO_PI
     values[:, ~inside] = 0.0
     return SymbolField(grid=grid, xi_angles=xi_angles,

@@ -9,9 +9,13 @@ measurement operators are its methods.
 
 The free-streaming inverse is a product-trapezoid march along rotated
 coordinate frames.  All directions march together: each solver stacks the
-per-direction rotation gathers, once and on first use, into one
-block-diagonal sparse operator each way, so a sweep is one product into the
-rotated frames, one recurrence over their columns and one product back.
+per-direction rotation gathers, once and on first use, into one sparse
+operator each way, and these gathers own the march layout and the disk
+mask.  The gather into the rotated frames lists its rows in march order,
+step after step with every direction in each step; the gather back reads
+that order and has no entries for pixels outside the outer disk.  A sweep
+is one product into march order, one recurrence over the steps and one
+product back, with no other pass over phase space.
 Every linear primitive here carries an exact transpose (gathers become
 scatters, the march recurrence reverses), so measurement operators built
 from them have machine-precision adjoint pairings.
@@ -39,7 +43,7 @@ alone, so it integrates only the chords whose outgoing sample has chi != 0
 The scattering fixed point is only iterated when the spectral radius of
 K T1^{-1} is certified below one.  For a kernel that is nonnegative on the
 discrete direction grid, K T1^{-1} is an entrywise nonnegative matrix (the
-gathers, march factors and masks are all nonnegative), so a Collatz-Wielandt
+gathers and march factors are all nonnegative), so a Collatz-Wielandt
 bracket proves bounds on its spectral radius: for any x > 0 on the
 kernel's pixel support, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i.  The
 bracket is tightened by normalised power steps until it closes.  A kernel
@@ -52,11 +56,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from ._interp import BilinearGather
 from .coefficients import (AbsorptionField, ScatteringKernel, ray_nodes, ray_points,
                            ray_step, trig_basis)
-from .geometry import uniform_angles, unit_vector
+from .geometry import rotate90, uniform_angles, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -268,7 +273,6 @@ class TransportSolver:
         self.w_theta = TWO_PI / self.n_theta
         self.bgrid = BoundaryGrid(geom, n_bdry, self.n_theta)
         self._h_march = grid.hx
-        self._mask_flat = grid.disk_mask(geom.radius_outer).reshape(-1).astype(float)
         self._omega_flat = grid.disk_mask(geom.radius_inner).reshape(-1)
         self._rot = None
         self._trace_ops = {}
@@ -284,32 +288,58 @@ class TransportSolver:
     def _build_rotations(self):
         """Stacked rotation gathers and march factors of all directions.
 
-        Row block q of ``to`` samples a raster on the frame rotated to
-        direction q (march axis along x); row block q of ``back`` samples
-        that frame's values at the pixel centers.  Both are block-diagonal
-        over (n_theta * N) phase-space rows, so one product serves every
-        direction and equals the per-direction products bit for bit.
-        ``_march_A`` holds the
-        trapezoid attenuation factors in march order, shape
-        (nx - 1, n_theta, ny): step i of every direction is one contiguous
-        slice.
+        Rotated-frame values of all directions are laid out in march order
+        (nx, n_theta, ny), so step i of every direction is one contiguous
+        slice.  ``to`` samples a raster of each direction on its frame
+        rotated to that direction (march axis along x), one row per frame
+        value in march order; ``back`` samples each frame at the pixel
+        centers, its columns in march order and with no entries in the rows
+        of pixels outside the outer disk, so those pixels read zero and its
+        transpose ignores them.  Each direction's gathers are built by
+        block_diagonal and only their rows are moved or dropped, so every
+        row keeps the stored entries of at_points in order and a product
+        equals the per-direction products bit for bit.  ``_march_A`` holds
+        the trapezoid attenuation factors in march order, shape
+        (nx - 1, n_theta, ny).  Each table's temporaries are freed before
+        the next is built.
         """
         grid = self.grid
-        pts = grid.points_flat()
+        nx, ny = grid.nx, grid.ny
+        n = self.n_theta * grid.n_pixels
         X, Y = np.meshgrid(grid.xs, grid.ys)
-        to_pts, back_pts, sig = [], [], []
-        for q in range(self.n_theta):
-            th = self.theta_vecs[q]
-            perp = np.array([-th[1], th[0]])
+        perps = rotate90(self.theta_vecs)
+        frames, sig = [], []
+        for q, (th, perp) in enumerate(zip(self.theta_vecs, perps)):
             rot_pts = X[..., None] * th + Y[..., None] * perp
-            to_pts.append(rot_pts.reshape(-1, 2))
-            back_pts.append(np.stack([pts @ th, pts @ perp], axis=-1))
+            frames.append(rot_pts.transpose(1, 0, 2).reshape(-1, 2))
             sig.append(self.sigma.sample(rot_pts, float(self.theta_angles[q])))
-        self._rot = (BilinearGather.block_diagonal(grid, to_pts).matrix,
-                     BilinearGather.block_diagonal(grid, back_pts).matrix)
         sig = np.ascontiguousarray(np.stack(sig).transpose(2, 0, 1))  # (nx, n_theta, ny)
-        h2 = 0.5 * self._h_march
-        self._march_A = np.exp(-h2 * (sig[:-1] + sig[1:]))
+        self._march_A = np.exp(-0.5 * self._h_march * (sig[:-1] + sig[1:]))
+        del sig
+        to = BilinearGather.block_diagonal(grid, frames).matrix
+        del frames
+        # Each frame lists its points column by column, so moving the
+        # (ny, 4) entry runs of block_diagonal's rows from (q, ix) to (ix, q)
+        # puts them in march order.
+        to.data, to.indices = (
+            np.ascontiguousarray(a.reshape(self.n_theta, nx, 4 * ny).swapaxes(0, 1))
+            .reshape(-1) for a in (to.data, to.indices))
+        # Frame value (q, iy, ix), column q * N + iy * nx + ix of the gather
+        # back, sits at march position (ix * n_theta + q) * ny + iy.
+        march = np.arange(n, dtype=np.int32).reshape(nx, self.n_theta, ny)
+        march = march.transpose(1, 2, 0).reshape(-1)
+        pts = grid.points_flat()
+        back = BilinearGather.block_diagonal(
+            grid, [np.stack([pts @ th, pts @ perp], axis=-1)
+                   for th, perp in zip(self.theta_vecs, perps)]).matrix
+        data, indices = back.data, back.indices
+        del back
+        keep = np.tile(grid.disk_mask(self.geom.radius_outer).reshape(-1), self.n_theta)
+        data = data.reshape(-1, 4)[keep].reshape(-1)
+        indices = march[indices.reshape(-1, 4)[keep].reshape(-1)]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(4 * keep, out=indptr[1:])
+        self._rot = (to, sp.csr_matrix((data, indices, indptr), shape=(n, n)))
 
     def _rotations(self):
         if self._rot is None:
@@ -355,42 +385,32 @@ class TransportSolver:
         integrals = np.einsum("tq,qnb->tnb", theta_mat, values)
         return self.w_theta * np.einsum("tq,tnb->qnb", trig, ka[..., None] * integrals)
 
-    def _to_columns(self, flat):
-        """(n_theta * N, B) rotated-frame values as (nx, n_theta, ny, B) columns."""
-        shape = (self.n_theta, self.grid.ny, self.grid.nx, flat.shape[1])
-        return flat.reshape(shape).transpose(2, 0, 1, 3).copy()
-
-    @staticmethod
-    def _from_columns(cols):
-        """Inverse of _to_columns."""
-        return cols.transpose(1, 2, 0, 3).reshape(-1, cols.shape[3])
-
     def t1_apply(self, values):
         """Free-streaming solve with absorption: u = T1^{-1} g, g = values.
 
         All directions march together: one product with the stacked
-        rotation gather, one trapezoid recurrence over the nx columns of
-        the rotated frames (each step on an (n_theta, ny, B) slice), one
-        product back to the pixels, then the outer-disk mask.
+        rotation gather into march order, one trapezoid recurrence over the
+        nx columns of the rotated frames (each step on an (n_theta, ny, B)
+        slice), one product back to the pixels of the outer disk.
         """
         B = values.shape[2]
-        to_all, back_all = self._rotations()
+        to, back = self._rotations()
         h2 = 0.5 * self._h_march
-        g = self._to_columns(to_all @ values.reshape(-1, B))
+        g = (to @ values.reshape(-1, B)).reshape(
+            (self.grid.nx, self.n_theta, self.grid.ny, B))
         u = np.zeros_like(g)
         for i in range(1, self.grid.nx):
             Ai = self._march_A[i - 1, :, :, None]
             u[i] = Ai * (u[i - 1] + h2 * g[i - 1]) + h2 * g[i]
-        back = (back_all @ self._from_columns(u)).reshape(values.shape)
-        return self._mask_flat[:, None] * back
+        return (back @ u.reshape(-1, B)).reshape(values.shape)
 
     def t1_transpose(self, values):
         """Exact transpose of t1_apply: the same steps in reverse order."""
         B = values.shape[2]
-        to_all, back_all = self._rotations()
+        to, back = self._rotations()
         h2 = 0.5 * self._h_march
-        v = self._mask_flat[:, None] * values
-        v_rot = self._to_columns(back_all.T @ v.reshape(-1, B))
+        v_rot = (back.T @ values.reshape(-1, B)).reshape(
+            (self.grid.nx, self.n_theta, self.grid.ny, B))
         gbar = np.zeros_like(v_rot)
         c = np.zeros(v_rot.shape[1:])
         for i in range(self.grid.nx - 1, 0, -1):
@@ -399,7 +419,7 @@ class TransportSolver:
             gbar[i] += h2 * c
             gbar[i - 1] += h2 * Ai * c
             c = Ai * c
-        return (to_all.T @ self._from_columns(gbar)).reshape(values.shape)
+        return (to.T @ gbar.reshape(-1, B)).reshape(values.shape)
 
     # -- scattering moment space ---------------------------------------------
 

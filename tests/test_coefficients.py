@@ -9,6 +9,8 @@ from rte_tomo.coefficients import (
     _EXTENSION_FRACTION,
     TrigPoly,
     extension_profile,
+    ray_absorption,
+    ray_step,
 )
 from rte_tomo.geometry import exit_points, smooth_step
 
@@ -16,10 +18,21 @@ GEOM = rt.DiskGeometry(1.0, 1.2)
 GRID = rt.Grid(48, 48, 1.2)
 
 
+def exit_attenuation(sigma, geom, x, theta, h_ray):
+    """E(x, theta) = exp(-G): ray_absorption from the exit point back along -theta."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    z, tau = exit_points(geom, x, theta)
+    angle = np.array([math.atan2(theta[1], theta[0])])
+    g = ray_absorption(sigma, z[None], -theta[None], np.array([tau]), h_ray, angle)
+    return math.exp(-g[0])
+
+
 class TestAttenuationE:
     def test_zero_absorption_is_one(self):
         sigma = rt.AbsorptionField.zero(GRID)
-        assert rt.attenuation_E(sigma, GEOM, (0.3, -0.1), (0.0, 1.0)) == 1.0
+        h_ray = ray_step(GEOM.radius_outer)
+        assert exit_attenuation(sigma, GEOM, (0.3, -0.1), (0.0, 1.0), h_ray) == 1.0
 
     def test_constant_from_origin(self):
         # path length from the center to the outer circle is R1
@@ -27,7 +40,7 @@ class TestAttenuationE:
         grid = rt.Grid(48, 48, 1.0)
         c = 0.7
         sigma = rt.AbsorptionField.constant(grid, geom, c)
-        val = rt.attenuation_E(sigma, geom, (0.0, 0.0), (1.0, 0.0))
+        val = exit_attenuation(sigma, geom, (0.0, 0.0), (1.0, 0.0), ray_step(geom.radius_outer))
         assert val == pytest.approx(math.exp(-c), rel=1e-9)
 
     def test_gaussian_blob_matches_simpson(self):
@@ -41,7 +54,7 @@ class TestAttenuationE:
         pts = x[None, :] + ts[:, None] * theta[None, :]
         svals = sigma.sample(pts, 0.7)
         ref = math.exp(-simpson(svals, x=ts))
-        got = rt.attenuation_E(sigma, GEOM, x, theta, h_ray=1.2 / 2048)
+        got = exit_attenuation(sigma, GEOM, x, theta, 1.2 / 2048)
         assert got == pytest.approx(ref, rel=1e-6)
 
 

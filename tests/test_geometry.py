@@ -6,7 +6,7 @@ import pytest
 
 import rte_tomo as rt
 from rte_tomo.geometry import (
-    cutoff_eval,
+    cutoff_boundary_values,
     cutoff_extended_values,
     exit_points,
     exit_times,
@@ -133,40 +133,38 @@ class TestSmoothStep:
 
 
 class TestCutoffSpec:
+    """Cutoff values at boundary angle phi and theta . nu = cos(angle of theta - phi)."""
+
     def test_full_data_is_one_on_outgoing(self):
         spec = rt.CutoffSpec.full_data()
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            a = rng.uniform(0.0, 2.0 * math.pi)
-            z = (math.cos(a), math.sin(a))
-            b = rng.uniform(a - math.pi / 2 + 0.01, a + math.pi / 2 - 0.01)
-            theta = (math.cos(b), math.sin(b))
-            assert cutoff_eval(spec, GEOM, z, theta) == pytest.approx(1.0)
+        a = rng.uniform(0.0, 2.0 * math.pi, 20)
+        b = a + rng.uniform(-math.pi / 2 + 0.01, math.pi / 2 - 0.01, 20)
+        got = cutoff_boundary_values(spec, a, np.cos(b - a))
+        assert got == pytest.approx(np.ones(20))
 
     def test_empty_spec_zero(self):
         spec = rt.CutoffSpec.empty()
-        assert cutoff_eval(spec, GEOM, (1.0, 0.0), (1.0, 0.0)) == 0.0
+        assert cutoff_boundary_values(spec, 0.0, 1.0) == 0.0
 
     def test_incoming_always_zero(self):
         spec = rt.CutoffSpec.full_data()
-        assert cutoff_eval(spec, GEOM, (1.0, 0.0), (-1.0, 0.0)) == 0.0
+        assert cutoff_boundary_values(spec, 0.0, -1.0) == 0.0
 
     def test_soft_arc_center(self):
         spec = rt.CutoffSpec.from_arcs([(-math.pi / 2, math.pi / 2)],
                                        transition_width=0.1)
-        assert cutoff_eval(spec, GEOM, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(1.0)
+        assert cutoff_boundary_values(spec, 0.0, 1.0) == pytest.approx(1.0)
 
     def test_transition_rolls_off_inside_arc(self):
         spec = rt.CutoffSpec.from_arcs([(-math.pi / 2, math.pi / 2)],
                                        transition_width=0.4)
-        near_edge = math.pi / 2 - 0.05
-        z = (math.cos(near_edge), math.sin(near_edge))
-        v = cutoff_eval(spec, GEOM, z, z)
+        v = cutoff_boundary_values(spec, math.pi / 2 - 0.05, 1.0)
         assert 0.0 < v < 1.0
 
     def test_outside_arc_zero(self):
         spec = rt.CutoffSpec.from_arcs([(-math.pi / 2, math.pi / 2)])
-        assert cutoff_eval(spec, GEOM, (-1.0, 0.0), (-1.0, 0.0)) == 0.0
+        assert cutoff_boundary_values(spec, math.pi, 1.0) == 0.0
 
     def test_invalid_arcs_rejected(self):
         with pytest.raises(ValueError):
@@ -179,10 +177,8 @@ class TestCutoffSpec:
     def test_cone_restriction(self):
         spec = rt.CutoffSpec.from_arcs([(0.0, 2.0 * math.pi)], cones=[0.3])
         # straight out passes, a grazing exit does not
-        assert cutoff_eval(spec, GEOM, (1.0, 0.0), (1.0, 0.0)) == pytest.approx(1.0)
-        a = 1.2
-        theta = (math.cos(a), math.sin(a))
-        assert cutoff_eval(spec, GEOM, (1.0, 0.0), theta) == 0.0
+        assert cutoff_boundary_values(spec, 0.0, 1.0) == pytest.approx(1.0)
+        assert cutoff_boundary_values(spec, 0.0, math.cos(1.2)) == 0.0
 
     def test_extended_cutoff_constant_along_ray(self):
         spec = rt.CutoffSpec.from_arcs([(-1.0, 1.0)], transition_width=0.2)
@@ -205,8 +201,8 @@ class TestMicrovisible:
         """Perpendicular lines exit at (0, +-1); compare with direct cutoff values."""
         spec = rt.CutoffSpec.from_arcs([(-math.pi / 2, math.pi / 2)])
         got = microvisible(spec, GEOM, (0.0, 0.0), (1.0, 0.0))
-        up = cutoff_eval(spec, GEOM, (0.0, 1.0), (0.0, 1.0))
-        dn = cutoff_eval(spec, GEOM, (0.0, -1.0), (0.0, -1.0))
+        up = cutoff_boundary_values(spec, math.pi / 2, 1.0)
+        dn = cutoff_boundary_values(spec, -math.pi / 2, 1.0)
         assert got == ((up > 0.0) or (dn > 0.0))
 
     def test_half_circle_shadow_side(self):

@@ -320,13 +320,12 @@ class TestPrincipalSymbol:
         rad = np.sqrt(rng.uniform(0.0, 1.0, n)) * 0.95
         pos = rng.uniform(0.0, TWO_PI, n)
         ang = rng.uniform(0.0, TWO_PI, n)
-        disagreements = 0
-        for i in range(n):
-            x = (rad[i] * math.cos(pos[i]), rad[i] * math.sin(pos[i]))
-            xi = (math.cos(ang[i]), math.sin(ang[i]))
-            b0 = principal_symbol(spec, sigma, GEOM, x, xi)
-            if (b0 > 0.0) != bool(microvisible(spec, GEOM, x, xi)):
-                disagreements += 1
+        x = rad[:, None] * np.stack([np.cos(pos), np.sin(pos)], axis=1)
+        xi = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        b0 = principal_symbol(spec, sigma, GEOM, x, xi)
+        visible = microvisible(spec, GEOM, x, xi)
+        assert b0.shape == visible.shape == (n,)
+        disagreements = int(np.sum((b0 > 0.0) != visible))
         assert disagreements == 0
 
     def test_symbol_field_matches_pointwise_symbol(self):

@@ -8,7 +8,7 @@ import pytest
 from rte_tomo._interp import BilinearGather
 from rte_tomo import transport
 from rte_tomo.coefficients import (AbsorptionField, AngularField, AngularMode,
-                                   ScatteringKernel, TrigPoly, attenuation_E)
+                                   ScatteringKernel, TrigPoly)
 from rte_tomo.geometry import CutoffSpec, DiskGeometry, Grid
 from rte_tomo.phantoms import DiskPhantom
 from rte_tomo.tomography import ray_transform
@@ -496,8 +496,6 @@ class TestTracePlus:
         f = bumped_source(grid, GEOM)
         np.testing.assert_array_equal(zero.measurement(CutoffSpec.full_data(), f=f)[0].values,
                                       default.measurement(CutoffSpec.full_data(), f=f)[0].values)
-        x, theta = (0.1, 0.2), (0.6, 0.8)
-        assert attenuation_E(sigma, GEOM, x, theta, h_ray=0.0) == attenuation_E(sigma, GEOM, x, theta)
 
     def test_negative_h_ray_is_refused_at_construction(self):
         with pytest.raises(ValueError, match="h_ray must be nonnegative"):
@@ -927,6 +925,18 @@ class TestAdjointPairs:
         assert built == after_first
         # One gather to the rotated frames and one back, for every direction.
         assert sum(built) == 2 * s.n_theta * s.grid.n_pixels
+
+    def test_march_is_zero_outside_the_outer_disk(self):
+        s = self._solver()
+        outside = ~s.grid.disk_mask(s.geom.radius_outer).reshape(-1)
+        assert 0 < outside.sum() < s.grid.n_pixels
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal((8, s.grid.n_pixels, 3))
+        u = s.t1_apply(v)
+        assert np.all(u[:, outside] == 0.0)
+        w = v.copy()
+        w[:, outside] = rng.uniform(-1e3, 1e3, w[:, outside].shape)
+        np.testing.assert_array_equal(s.t1_transpose(w), s.t1_transpose(v))
 
     def test_scattering_transpose(self):
         grid = Grid(20, 20, 1.0)
