@@ -11,9 +11,6 @@ adjoint scatter is ``matrix.T @ v``:
 
 - ``at_points(grid, points)`` stores four entries per point, one per patch
   corner in a fixed order (corners outside the raster keep a zero weight).
-- ``block_diagonal(grid, blocks)`` samples each block of points from its own
-  copy of the raster, one block after another, as one matrix; the transport
-  march uses it to rotate every direction's raster in one product.
 - ``along_chords(grid, origins, direction, dist, weights, counts)`` gathers
   one weighted sum per chord over the points ``origin + dist * direction``
   (the quadrature cells of one chord after another), in pixel coordinates
@@ -75,31 +72,6 @@ class BilinearGather:
         indptr = 4 * np.arange(n + 1, dtype=np.int32)
         matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
                                shape=(n, grid.n_pixels))
-        return cls(matrix=matrix)
-
-    @classmethod
-    def block_diagonal(cls, grid, point_blocks):
-        """Gathers at each block of points, placed on one block diagonal.
-
-        Block q samples the q-th of len(point_blocks) stacked rasters, so
-        the matrix is (total points, len(point_blocks) * n_pixels).  Each
-        row keeps the stored entries of at_points in order, so a product
-        with it equals the per-block products bit for bit, and only one
-        block's temporaries are alive at a time.
-        """
-        n = sum(len(pts) for pts in point_blocks)
-        data = np.empty(4 * n)
-        indices = np.empty(4 * n, dtype=np.int32)
-        start = 0
-        for q, pts in enumerate(point_blocks):
-            m = cls.at_points(grid, pts).matrix
-            stop = start + 4 * len(pts)
-            data[start:stop] = m.data
-            indices[start:stop] = m.indices + q * grid.n_pixels
-            start = stop
-        indptr = 4 * np.arange(n + 1, dtype=np.int32)
-        matrix = sp.csr_matrix((data, indices, indptr),
-                               shape=(n, len(point_blocks) * grid.n_pixels))
         return cls(matrix=matrix)
 
     @classmethod

@@ -45,7 +45,7 @@ MAX_TRACE_CELLS = 2**21
 
 # Cap on pixel-directions nx * ny * n_theta.  The stacked rotation gathers
 # and march factors keep 102 bytes per pixel-direction (the gather back has
-# no rows for pixels outside the outer disk), their build peaks near 145 and
+# no rows for pixels outside the outer disk), their build peaks near 120 and
 # a scattering solve near 162, so the cap keeps a solve near 650 MiB; the
 # default 64x64 grid with 64 directions has 2**18.  The same cap bounds
 # nx * ny * symbol.n_xi: the symbol keeps four (n_xi, N) float arrays, 32
@@ -167,9 +167,10 @@ def _validate(cfg):
             f"R < R1 violated: R = {cfg.radius_inner:g}, R1 = {cfg.radius_outer:g}")
     if cfg.radius_inner <= 0.0:
         raise ConfigError("geometry.R must be positive")
-    for name in ("nx", "ny", "n_theta", "n_bdry", "symbol_n_xi", "wavefront_n_edge"):
-        if getattr(cfg, name) < 8:
-            raise ConfigError(f"count '{name}' must be at least 8")
+    for key in ("grid.nx", "grid.ny", "grid.n_theta", "grid.n_bdry", "symbol.n_xi",
+                "wavefront.n_edge"):
+        if getattr(cfg, _SCHEMA[key][0]) < 8:
+            raise ConfigError(f"count '{key}' must be at least 8")
     if not 0.0 < cfg.solver_tol <= 1e-2:
         raise ConfigError("solver.tol must lie in (0, 1e-2]")
     if cfg.solver_max_iter < 1:
@@ -311,14 +312,13 @@ def build_absorption(cfg, grid, geom):
                 grid, geom, cfg.absorption_base, cfg.absorption_amplitude,
                 order=cfg.absorption_order)
         if preset == "csv":
-            raster, radius = formats.read_grid_csv(_existing_path(cfg.absorption_path))
-            _check_csv_radius("absorption.path", radius, geom)
-            if raster.shape != (grid.ny, grid.nx):
-                raise ConfigError("absorption CSV shape does not match grid.nx/ny")
+            path = _existing_path("absorption.path", cfg.absorption_path)
+            raster, radius = formats.read_grid_csv(path)
+            _check_csv_grid("absorption.path", raster, radius, grid, geom)
             return AbsorptionField.from_raster(grid, geom, raster)
     except ValueError as exc:
         raise _coefficient_error("absorption", preset, exc) from None
-    raise ConfigError(f"unknown absorption preset '{preset}'")
+    raise ConfigError(f"'absorption.preset': unknown preset '{preset}'")
 
 
 def build_scattering(cfg, grid, geom):
@@ -334,7 +334,7 @@ def build_scattering(cfg, grid, geom):
                 n_modes=cfg.scattering_n_modes)
     except ValueError as exc:
         raise _coefficient_error("scattering", preset, exc) from None
-    raise ConfigError(f"unknown scattering preset '{preset}'")
+    raise ConfigError(f"'scattering.preset': unknown preset '{preset}'")
 
 
 def _parse_float_list(text, what):
@@ -357,7 +357,7 @@ def build_cutoff(cfg):
     if preset == "empty":
         return CutoffSpec.empty()
     if preset != "arcs":
-        raise ConfigError(f"unknown cutoff preset '{preset}'")
+        raise ConfigError(f"'cutoff.preset': unknown preset '{preset}'")
     arcs = []
     for tok in cfg.cutoff_arcs.split(","):
         tok = tok.strip()
@@ -365,11 +365,11 @@ def build_cutoff(cfg):
             continue
         lo, sep, hi = tok.partition(":")
         if not sep:
-            raise ConfigError(f"cutoff arc '{tok}' must look like 'start:end'")
+            raise ConfigError(f"'cutoff.arcs' entry '{tok}' must look like 'start:end'")
         try:
             arcs.append((float(lo), float(hi)))
         except ValueError:
-            raise ConfigError(f"cannot parse cutoff arc '{tok}'") from None
+            raise ConfigError(f"cannot parse 'cutoff.arcs' entry '{tok}'") from None
     if not arcs:
         raise ConfigError("cutoff.preset = arcs requires cutoff.arcs")
     cones = _parse_float_list(cfg.cutoff_cones, "cutoff.cones") or None
@@ -377,7 +377,7 @@ def build_cutoff(cfg):
         return CutoffSpec.from_arcs(arcs, cones=cones,
                                     transition_width=cfg.cutoff_transition_width)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"'cutoff.arcs' and 'cutoff.cones' rejected: {exc}") from None
 
 
 def build_source(cfg, grid, geom):
@@ -386,13 +386,20 @@ def build_source(cfg, grid, geom):
     if preset == "disk":
         c = (cfg.source_center_x, cfg.source_center_y)
         if math.hypot(*c) + cfg.source_radius > geom.radius_inner:
-            raise ConfigError("disk source reaches outside the source region")
+            raise ConfigError(
+                f"the disk source ('source.center_x', 'source.center_y', "
+                f"'source.radius') = ({c[0]:g}, {c[1]:g}, {cfg.source_radius:g}) "
+                f"reaches outside the source region (geometry.R = "
+                f"{geom.radius_inner:g})")
         phantom = DiskPhantom(center=c, radius=cfg.source_radius,
                               value=cfg.source_value)
         return rasterize(phantom, grid, geom), phantom
     if preset == "constant":
         if cfg.source_radius > geom.radius_inner:
-            raise ConfigError("constant source reaches outside the source region")
+            raise ConfigError(
+                f"the constant source with 'source.radius' = {cfg.source_radius:g} "
+                f"reaches outside the source region (geometry.R = "
+                f"{geom.radius_inner:g})")
         phantom = ConstantPhantom(radius=cfg.source_radius, value=cfg.source_value)
         return rasterize(phantom, grid, geom), phantom
     if preset == "gaussian":
@@ -402,29 +409,32 @@ def build_source(cfg, grid, geom):
         return rasterize(phantom, grid, geom), None
     if preset == "csv":
         try:
-            raster, radius = formats.read_grid_csv(_existing_path(cfg.source_path))
+            path = _existing_path("source.path", cfg.source_path)
+            raster, radius = formats.read_grid_csv(path)
         except ValueError as exc:
             raise ConfigError(f"'source.path' is not a grid CSV: {exc}") from None
-        _check_csv_radius("source.path", radius, geom)
-        if raster.shape != (grid.ny, grid.nx):
-            raise ConfigError("source CSV shape does not match grid.nx/ny")
+        _check_csv_grid("source.path", raster, radius, grid, geom)
         return raster * grid.disk_mask(geom.radius_inner), None
-    raise ConfigError(f"unknown source preset '{preset}'")
+    raise ConfigError(f"'source.preset': unknown preset '{preset}'")
 
 
-def _check_csv_radius(key, radius, geom):
-    """Refuse a grid CSV whose header radius is not geometry.R1."""
+def _check_csv_grid(key, raster, radius, grid, geom):
+    """Refuse a grid CSV whose header radius is not geometry.R1 or whose
+    raster is not grid.ny by grid.nx."""
     if not abs(radius - geom.radius_outer) <= 1e-12 * geom.radius_outer:
         raise ConfigError(f"'{key}' holds a grid for R1 = {radius!r}, but "
                           f"geometry.R1 = {geom.radius_outer!r}")
+    if raster.shape != (grid.ny, grid.nx):
+        raise ConfigError(f"'{key}' holds a {raster.shape[1]}x{raster.shape[0]} grid, "
+                          f"but grid.nx = {grid.nx} and grid.ny = {grid.ny}")
 
 
-def _existing_path(text):
+def _existing_path(key, text):
     if not text:
-        raise ConfigError("a file path is required but empty")
+        raise ConfigError(f"'{key}' is required but empty")
     path = Path(text)
     if not path.is_file():
-        raise ConfigError(f"file not found: {text}")
+        raise ConfigError(f"'{key}': file not found: {text}")
     return path
 
 
@@ -623,7 +633,9 @@ def _cmd_wavefront(cfg, rep):
     solver = _make_solver(cfg)
     raster, phantom = build_source(cfg, solver.grid, solver.geom)
     if phantom is None:
-        raise ConfigError("wavefront requires a piecewise-constant source preset")
+        raise ConfigError(
+            f"'source.preset' = {cfg.source_preset}: wavefront requires a "
+            f"piecewise-constant source preset (disk or constant)")
     spec = build_cutoff(cfg)
     image, edges = wavefront_image(solver, spec, phantom,
                                    n_edge=cfg.wavefront_n_edge)

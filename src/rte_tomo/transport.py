@@ -61,7 +61,7 @@ import scipy.sparse as sp
 from ._interp import BilinearGather
 from .coefficients import (AbsorptionField, ScatteringKernel, ray_nodes, ray_points,
                            ray_step, trig_basis)
-from .geometry import rotate90, uniform_angles, unit_vector
+from .geometry import cutoff_boundary_values, rotate90, uniform_angles, unit_vector
 
 TWO_PI = 2.0 * math.pi
 
@@ -281,7 +281,6 @@ class TransportSolver:
         self._moment_space = None
         self._moment_C = None
         self.certificate = None
-        self._chi_cache = {}
 
     # -- phase-space tables, built once ------------------------------------
 
@@ -293,53 +292,51 @@ class TransportSolver:
         slice.  ``to`` samples a raster of each direction on its frame
         rotated to that direction (march axis along x), one row per frame
         value in march order; ``back`` samples each frame at the pixel
-        centers, its columns in march order and with no entries in the rows
-        of pixels outside the outer disk, so those pixels read zero and its
-        transpose ignores them.  Each direction's gathers are built by
-        block_diagonal and only their rows are moved or dropped, so every
-        row keeps the stored entries of at_points in order and a product
-        equals the per-direction products bit for bit.  ``_march_A`` holds
-        the trapezoid attenuation factors in march order, shape
-        (nx - 1, n_theta, ny).  Each table's temporaries are freed before
-        the next is built.
+        centers inside the outer disk, its columns in march order, and has
+        no entries in the rows of the other pixels, so those pixels read
+        zero and its transpose ignores them.  Each direction's at_points
+        entries are written straight into the final tables, in order, so a
+        product equals the per-direction products bit for bit.  ``_march_A``
+        holds the trapezoid attenuation factors in march order, shape
+        (nx - 1, n_theta, ny).
         """
         grid = self.grid
-        nx, ny = grid.nx, grid.ny
-        n = self.n_theta * grid.n_pixels
+        nx, ny, N = grid.nx, grid.ny, grid.n_pixels
+        n = self.n_theta * N
         X, Y = np.meshgrid(grid.xs, grid.ys)
         perps = rotate90(self.theta_vecs)
-        frames, sig = [], []
+        # Each frame lists its points column by column, so direction q's
+        # rows of ``to`` are the (nx, ny) block [:, q] of march order.
+        data = np.empty((nx, self.n_theta, 4 * ny))
+        indices = np.empty(data.shape, dtype=np.int32)
+        sig = np.empty((nx, self.n_theta, ny))
         for q, (th, perp) in enumerate(zip(self.theta_vecs, perps)):
             rot_pts = X[..., None] * th + Y[..., None] * perp
-            frames.append(rot_pts.transpose(1, 0, 2).reshape(-1, 2))
-            sig.append(self.sigma.sample(rot_pts, float(self.theta_angles[q])))
-        sig = np.ascontiguousarray(np.stack(sig).transpose(2, 0, 1))  # (nx, n_theta, ny)
+            sig[:, q] = self.sigma.sample(rot_pts, float(self.theta_angles[q])).T
+            frame = rot_pts.transpose(1, 0, 2).reshape(-1, 2)
+            m = BilinearGather.at_points(grid, frame).matrix
+            data[:, q] = m.data.reshape(nx, 4 * ny)
+            indices[:, q] = m.indices.reshape(nx, 4 * ny) + q * N
         self._march_A = np.exp(-0.5 * self._h_march * (sig[:-1] + sig[1:]))
         del sig
-        to = BilinearGather.block_diagonal(grid, frames).matrix
-        del frames
-        # Each frame lists its points column by column, so moving the
-        # (ny, 4) entry runs of block_diagonal's rows from (q, ix) to (ix, q)
-        # puts them in march order.
-        to.data, to.indices = (
-            np.ascontiguousarray(a.reshape(self.n_theta, nx, 4 * ny).swapaxes(0, 1))
-            .reshape(-1) for a in (to.data, to.indices))
-        # Frame value (q, iy, ix), column q * N + iy * nx + ix of the gather
-        # back, sits at march position (ix * n_theta + q) * ny + iy.
-        march = np.arange(n, dtype=np.int32).reshape(nx, self.n_theta, ny)
-        march = march.transpose(1, 2, 0).reshape(-1)
+        to = sp.csr_matrix((data.reshape(-1), indices.reshape(-1),
+                            4 * np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+        # Frame pixel (iy, ix) of direction q sits at march position
+        # (ix * n_theta + q) * ny + iy.
+        disk = grid.disk_mask(self.geom.radius_outer).reshape(-1)
         pts = grid.points_flat()
-        back = BilinearGather.block_diagonal(
-            grid, [np.stack([pts @ th, pts @ perp], axis=-1)
-                   for th, perp in zip(self.theta_vecs, perps)]).matrix
-        data, indices = back.data, back.indices
-        del back
-        keep = np.tile(grid.disk_mask(self.geom.radius_outer).reshape(-1), self.n_theta)
-        data = data.reshape(-1, 4)[keep].reshape(-1)
-        indices = march[indices.reshape(-1, 4)[keep].reshape(-1)]
+        data = np.empty((self.n_theta, 4 * int(disk.sum())))
+        indices = np.empty(data.shape, dtype=np.int32)
+        for q, (th, perp) in enumerate(zip(self.theta_vecs, perps)):
+            m = BilinearGather.at_points(
+                grid, np.stack([(pts @ th)[disk], (pts @ perp)[disk]], axis=-1)).matrix
+            data[q] = m.data
+            iy, ix = np.divmod(m.indices, nx)
+            indices[q] = (ix * self.n_theta + q) * ny + iy
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(4 * keep, out=indptr[1:])
-        self._rot = (to, sp.csr_matrix((data, indices, indptr), shape=(n, n)))
+        np.cumsum(4 * np.tile(disk, self.n_theta), out=indptr[1:])
+        self._rot = (to, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
+                                       shape=(n, n)))
 
     def _rotations(self):
         if self._rot is None:
@@ -632,10 +629,10 @@ class TransportSolver:
     def _trace_operators(self, spec=None):
         """(q, sample indices, chi column, exit-chord operator) per direction.
 
-        Built once per cutoff, like chi_values, for the chords of
-        _trace_rows(spec).  Row c of operator q sums the weighted bilinear
-        samples of the live cells of the chord leaving at sample rows[c], so
-        it maps a raster source (N, B) to the chord quadratures (n, B).
+        Built once per cutoff, for the chords of _trace_rows(spec).  Row c
+        of operator q sums the weighted bilinear samples of the live cells of
+        the chord leaving at sample rows[c], so it maps a raster source
+        (N, B) to the chord quadratures (n, B).
         BilinearGather.along_chords finds each cell's patch from its distance
         back from the exit point and sums each run of cells in one patch into
         one entry per corner pixel.
@@ -702,13 +699,9 @@ class TransportSolver:
         return out
 
     def chi_values(self, spec):
-        """Cutoff evaluated on the boundary grid, cached per cutoff."""
-        if spec not in self._chi_cache:
-            from .geometry import cutoff_boundary_values
-            bg = self.bgrid
-            self._chi_cache[spec] = cutoff_boundary_values(
-                spec, bg.angles[:, None], bg.normal_dot)
-        return self._chi_cache[spec]
+        """Cutoff on the boundary grid; _trace_rows reads it once per cutoff."""
+        bg = self.bgrid
+        return cutoff_boundary_values(spec, bg.angles[:, None], bg.normal_dot)
 
     # -- contraction certificate and fixed point ----------------------------
 

@@ -105,10 +105,10 @@ class TestParseConfig:
 
     def test_counts_below_eight_rejected(self):
         with pytest.raises(ConfigError,
-                           match=re.escape("count 'nx' must be at least 8")):
+                           match=re.escape("count 'grid.nx' must be at least 8")):
             parse_config("grid.nx = 4\n")
         with pytest.raises(ConfigError,
-                           match=re.escape("count 'n_bdry' must be at least 8")):
+                           match=re.escape("count 'grid.n_bdry' must be at least 8")):
             parse_config("grid.n_bdry = 7\n")
 
     def test_tolerance_window(self):
@@ -280,6 +280,27 @@ class TestExitCodes:
         assert code == 0
         assert (out_dir / "report.txt").exists()
 
+    @pytest.mark.parametrize("kind", ["source", "absorption"])
+    def test_grid_csv_of_another_size_exits_one(self, tmp_path, capsys, kind):
+        grid_csv = tmp_path / "grid.csv"
+        formats.write_grid_csv(grid_csv, np.full((20, 24), 0.5), 1.2)
+        text = TINY + f"{kind}.preset = csv\n{kind}.path = {grid_csv}\n"
+        code, out_dir = launch(tmp_path, "forward", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{kind}.path' holds a 24x20 grid, but grid.nx = 24" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("kind", ["source", "absorption"])
+    def test_missing_grid_csv_names_its_key(self, tmp_path, capsys, kind):
+        for path, message in (("", "is required but empty"),
+                              (tmp_path / "absent.csv", "file not found")):
+            text = TINY + f"{kind}.preset = csv\n{kind}.path = {path}\n"
+            code, _ = launch(tmp_path, "forward", text)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert f"'{kind}.path'" in err and message in err
+
     def test_missing_config_flag_exits_one(self, capsys):
         assert cli.main(["forward"]) == 1
         assert "config error:" in capsys.readouterr().err
@@ -423,7 +444,10 @@ class TestForwardCommand:
         text = TINY + "source.radius = 0.9\nsource.center_x = 0.5\n"
         code, _ = launch(tmp_path, "forward", text)
         assert code == 1
-        assert "reaches outside the source region" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "reaches outside the source region" in err
+        for key in ("'source.center_x'", "'source.center_y'", "'source.radius'"):
+            assert key in err
 
 
     @pytest.mark.parametrize("scattering, code, method", [
@@ -586,6 +610,7 @@ class TestWavefrontCommand:
         assert code == 1
         err = capsys.readouterr().err
         assert "piecewise-constant source" in err
+        assert "'source.preset'" in err
 
     def test_no_responding_visible_edge_is_a_config_error(self, tmp_path, capsys):
         # This cone lets no edge of the disk source be microvisible, while

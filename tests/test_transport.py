@@ -904,7 +904,11 @@ class TestAdjointPairs:
                 ref = self._per_direction_march(s, v, transpose)
                 got = op(v)
                 assert got.shape == v.shape
-                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                if transpose:
+                    # to.T scatters in march order, so sums differ in rounding.
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                else:
+                    np.testing.assert_array_equal(got, ref)
 
     def test_rotation_tables_are_built_once(self, monkeypatch):
         s = self._solver()
@@ -923,8 +927,10 @@ class TestAdjointPairs:
         np.testing.assert_array_equal(s.t1_apply(v), first)
         s.t1_transpose(v)
         assert built == after_first
-        # One gather to the rotated frames and one back, for every direction.
-        assert sum(built) == 2 * s.n_theta * s.grid.n_pixels
+        # One gather to the rotated frames at every pixel and one back at the
+        # pixels inside the outer disk, for every direction.
+        n_disk = int(s.grid.disk_mask(s.geom.radius_outer).sum())
+        assert sum(built) == s.n_theta * (s.grid.n_pixels + n_disk)
 
     def test_march_is_zero_outside_the_outer_disk(self):
         s = self._solver()
