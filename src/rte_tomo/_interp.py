@@ -7,7 +7,9 @@ fractions along x and y.  One helper tests which corners of a patch lie in
 the raster and names their pixels; every constructor below builds on it.
 
 A gather is one CSR matrix, so sampling is ``matrix @ x`` and the exact
-adjoint scatter is ``matrix.T @ v``:
+adjoint scatter is ``matrix.T @ v``.  ``scipy.sparse`` is imported only when
+the first one is built (see ``csr``), so a command that builds none never
+loads it:
 
 - ``at_points(grid, points)`` stores four entries per point, one per patch
   corner in a fixed order (corners outside the raster keep a zero weight).
@@ -18,14 +20,22 @@ adjoint scatter is ``matrix.T @ v``:
   patch form a run: the weighted corner weights of each run are summed,
   and the corner tests and pixel indices are done once per run, so a row
   holds one entry per pixel, merged from its runs.
+
+``bilinear_sample`` samples a raster once without a matrix: it sums the
+four corner products of each point in stored order, starting from 0.0, as
+the CSR product does, so it equals ``at_points(grid, points).apply`` bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Cell corners (dx, dy) in stored order.
 _CORNERS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -45,34 +55,49 @@ def _corners(grid, iu, iv):
     return pixels, inside
 
 
+def _point_corners(grid, points):
+    """(pixel, weight) of each patch corner of (n, 2) points, in _CORNERS order.
+
+    A corner outside the raster names pixel 0 with weight 0.
+    """
+    u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
+    v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
+    iu = np.floor(u)
+    iv = np.floor(v)
+    fu = u - iu
+    fv = v - iv
+    wx = (1 - fu, fu)
+    wy = (1 - fv, fv)
+    pixels, inside = _corners(grid, iu.astype(np.int64), iv.astype(np.int64))
+    for (dx, dy), pixel, ok in zip(_CORNERS, pixels, inside):
+        yield np.where(ok, pixel, 0), np.where(ok, wx[dx] * wy[dy], 0.0)
+
+
+def csr(data, indices, indptr, shape):
+    """CSR matrix from its arrays; scipy.sparse is imported on first use."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((data, indices, indptr), shape=shape)
+
+
 @dataclass
 class BilinearGather:
     """Precomputed bilinear interpolation at a fixed set of points."""
 
-    matrix: sp.csr_matrix   # (n_points, n_pixels)
+    matrix: scipy.sparse.csr_matrix   # (n_points, n_pixels)
 
     @classmethod
     def at_points(cls, grid, points):
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         n = len(points)
-        u = (points[:, 0] + grid.half_width) / grid.hx - 0.5
-        v = (points[:, 1] + grid.half_width) / grid.hy - 0.5
-        iu = np.floor(u)
-        iv = np.floor(v)
-        fu = u - iu
-        fv = v - iv
-        wx = (1 - fu, fu)
-        wy = (1 - fv, fv)
-        pixels, inside = _corners(grid, iu.astype(np.int64), iv.astype(np.int64))
         indices = np.empty((n, 4), dtype=np.int32)
         data = np.empty((n, 4))
-        for k, (dx, dy) in enumerate(_CORNERS):
-            indices[:, k] = np.where(inside[k], pixels[k], 0)
-            data[:, k] = np.where(inside[k], wx[dx] * wy[dy], 0.0)
+        for k, (pixel, weight) in enumerate(_point_corners(grid, points)):
+            indices[:, k] = pixel
+            data[:, k] = weight
         indptr = 4 * np.arange(n + 1, dtype=np.int32)
-        matrix = sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
-                               shape=(n, grid.n_pixels))
-        return cls(matrix=matrix)
+        return cls(matrix=csr(data.reshape(-1), indices.reshape(-1), indptr,
+                              (n, grid.n_pixels)))
 
     @classmethod
     def along_chords(cls, grid, origins, direction, dist, weights, counts):
@@ -130,8 +155,8 @@ class BilinearGather:
         np.cumsum(ok.sum(axis=1), out=nnz[1:])
         indptr = np.zeros(len(counts) + 1, dtype=np.int64)
         indptr[1:] = nnz[np.searchsorted(starts, ends)]
-        matrix = sp.csr_matrix((sums[ok], np.stack(pixels, axis=1)[ok], indptr),
-                               shape=(len(counts), grid.n_pixels))
+        matrix = csr(sums[ok], np.stack(pixels, axis=1)[ok], indptr,
+                     (len(counts), grid.n_pixels))
         matrix.sum_duplicates()
         return cls(matrix=matrix)
 
@@ -148,5 +173,12 @@ def bilinear_sample(grid, raster, points):
     """One-off bilinear samples of a (ny, nx) raster at (..., 2) points."""
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
-    g = BilinearGather.at_points(grid, pts.reshape(-1, 2))
-    return g.apply(np.asarray(raster, dtype=float).reshape(-1)).reshape(shape)
+    values = np.asarray(raster, dtype=float).reshape(-1)
+    if values.size != grid.n_pixels:
+        raise ValueError(f"raster has {values.size} values; the grid has "
+                         f"{grid.n_pixels} pixels")
+    pts = pts.reshape(-1, 2)
+    out = np.zeros(len(pts))
+    for pixel, weight in _point_corners(grid, pts):
+        out += weight * values[pixel]
+    return out.reshape(shape)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _apply_thread_cap, formats
 from .coefficients import AbsorptionField, ScatteringKernel, ray_step
-from .geometry import CutoffSpec, DiskGeometry, Grid, visible_mask
+from .geometry import CutoffSpec, DiskGeometry, Grid, microvisible, visible_mask
 from .phantoms import ConstantPhantom, DiskPhantom, GaussianPhantom, rasterize
 from .tomography import (
     DENSE_MAX_PIXELS,
@@ -637,6 +637,14 @@ def _cmd_wavefront(cfg, rep):
             f"'source.preset' = {cfg.source_preset}: wavefront requires a "
             f"piecewise-constant source preset (disk or constant)")
     spec = build_cutoff(cfg)
+    # No microvisible edge means no visible response to compare with: refuse
+    # before the image is built.
+    pts, normals, _ = phantom.edge_points(cfg.wavefront_n_edge)
+    if not np.any(microvisible(spec, solver.geom, pts, normals)):
+        raise ConfigError(
+            f"'cutoff.arcs' and 'cutoff.cones' leave 0 of {len(pts)} source edges "
+            f"microvisible, so no edge can respond visibly and the response ratio "
+            f"is undefined (widen cutoff.arcs or cutoff.cones)")
     image, edges = wavefront_image(solver, spec, phantom,
                                    n_edge=cfg.wavefront_n_edge)
     if not math.isfinite(edges.response_ratio):

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .coefficients import angle_of, ray_absorption, ray_step
 from .geometry import (
@@ -495,10 +494,24 @@ def point_source_pairing(solver, spec, f, z):
 # ---------------------------------------------------------------------------
 
 
+def _erode_twice(mask):
+    """A 2-D bool mask eroded twice by the 4-connected cross.
+
+    A pixel survives a pass when it and its four edge neighbours are all
+    set; pixels outside the raster read False.
+    """
+    m = np.asarray(mask, dtype=bool)
+    for _ in range(2):
+        pad = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=bool)
+        pad[1:-1, 1:-1] = m
+        m = m & pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
+    return m
+
+
 def visible_columns(solver, support_mask):
     """Flat source-disk pixels of the visible support eroded by two pixels."""
     omega = solver._omega_flat.reshape(solver.grid.ny, solver.grid.nx)
-    eroded = ndimage.binary_erosion(support_mask.visible, iterations=2) & omega
+    eroded = _erode_twice(support_mask.visible) & omega
     return np.nonzero(eroded.reshape(-1))[0]
 
 
@@ -527,7 +540,7 @@ def svd_injectivity(solver, spec, support_mask):
     op_vis = assemble_xv_matrix(solver, spec, m, col_pixels=vis_cols)
     sigma_min_visible = float(op_vis.singular_values()[-1])
     omega = solver._omega_flat.reshape(grid.ny, grid.nx)
-    shadow = ndimage.binary_erosion(omega & ~support_mask.visible, iterations=2)
+    shadow = _erode_twice(omega & ~support_mask.visible)
     inv_cols = np.nonzero(shadow.reshape(-1))[0]
     sigma_min_invisible = 0.0
     if len(inv_cols):

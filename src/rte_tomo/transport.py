@@ -56,9 +56,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from ._interp import BilinearGather
+from ._interp import BilinearGather, csr
 from .coefficients import (AbsorptionField, ScatteringKernel, ray_nodes, ray_points,
                            ray_step, trig_basis)
 from .geometry import cutoff_boundary_values, rotate90, uniform_angles, unit_vector
@@ -319,8 +318,8 @@ class TransportSolver:
             indices[:, q] = m.indices.reshape(nx, 4 * ny) + q * N
         self._march_A = np.exp(-0.5 * self._h_march * (sig[:-1] + sig[1:]))
         del sig
-        to = sp.csr_matrix((data.reshape(-1), indices.reshape(-1),
-                            4 * np.arange(n + 1, dtype=np.int32)), shape=(n, n))
+        to = csr(data.reshape(-1), indices.reshape(-1),
+                 4 * np.arange(n + 1, dtype=np.int32), (n, n))
         # Frame pixel (iy, ix) of direction q sits at march position
         # (ix * n_theta + q) * ny + iy.
         disk = grid.disk_mask(self.geom.radius_outer).reshape(-1)
@@ -335,8 +334,7 @@ class TransportSolver:
             indices[q] = (ix * self.n_theta + q) * ny + iy
         indptr = np.zeros(n + 1, dtype=np.int32)
         np.cumsum(4 * np.tile(disk, self.n_theta), out=indptr[1:])
-        self._rot = (to, sp.csr_matrix((data.reshape(-1), indices.reshape(-1), indptr),
-                                       shape=(n, n)))
+        self._rot = (to, csr(data.reshape(-1), indices.reshape(-1), indptr, (n, n)))
 
     def _rotations(self):
         if self._rot is None:

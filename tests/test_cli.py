@@ -623,6 +623,20 @@ class TestWavefrontCommand:
         err = capsys.readouterr().err
         assert "'cutoff.arcs' and 'cutoff.cones' leave 0 of 96 source edges" in err
 
+    def test_no_microvisible_edge_is_refused_before_the_image(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def image_built(*args, **kwargs):
+            raise RuntimeError("wavefront_image ran")
+
+        monkeypatch.setattr(cli, "wavefront_image", image_built)
+        text = ("grid.nx = 12\ngrid.ny = 12\ngrid.n_theta = 8\nwavefront.n_edge = 40\n"
+                "cutoff.preset = arcs\ncutoff.arcs = 0:0.3\ncutoff.cones = 0.1\n")
+        code, out_dir = launch(tmp_path, "wavefront", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'cutoff.arcs' and 'cutoff.cones' leave 0 of 40 source edges" in err
+        assert not out_dir.exists()
+
 
 class TestSmoothingCommand:
     def test_scattering_damps_high_frequencies(self, tmp_path):
@@ -701,3 +715,62 @@ print(count)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         launch(tmp_path, "visible-set", TINY)
         assert "OMP_NUM_THREADS" not in os.environ
+
+
+def _run_python(probe, *args):
+    """Run a Python snippet in a fresh process with this package on its path."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Runs one command and prints the scipy modules it left loaded; "blocked"
+# makes any scipy import fail.
+SCIPY_PROBE = """
+import sys
+if sys.argv[1] == "blocked":
+    sys.modules["scipy"] = None
+import rte_tomo.cli
+status = rte_tomo.cli.main(sys.argv[2:])
+print(" ".join(sorted(m for m in sys.modules
+                      if m.split(".")[0] == "scipy" and sys.modules[m] is not None)))
+sys.exit(status)
+"""
+
+
+class TestImports:
+    def test_cli_import_loads_no_scipy(self):
+        done = _run_python("import sys, rte_tomo.cli\n"
+                           "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("command", ["visible-set", "symbol"])
+    def test_command_runs_without_scipy(self, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + HALF_ARC, encoding="utf-8")
+        outs = []
+        for mode in ("blocked", "open"):
+            out = tmp_path / mode
+            done = _run_python(SCIPY_PROBE, mode, command, "--config", str(cfg),
+                               "--out", str(out))
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.strip() == ""
+            outs.append(out)
+        names = sorted(p.name for p in outs[0].iterdir())
+        assert "report.txt" in names
+        assert names == sorted(p.name for p in outs[1].iterdir())
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_normal_loads_no_ndimage_or_special(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + HALF_ARC, encoding="utf-8")
+        done = _run_python(SCIPY_PROBE, "open", "normal", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert "scipy.sparse" in loaded
+        assert not any(m.startswith(("scipy.ndimage", "scipy.special")) for m in loaded)

@@ -16,7 +16,7 @@ from rte_tomo.geometry import (
     smooth_step,
     visible_mask,
 )
-from rte_tomo import coefficients
+from rte_tomo import coefficients, tomography
 from rte_tomo.phantoms import ConstantPhantom, DiskPhantom
 from rte_tomo.tomography import (
     attenuation_stack,
@@ -479,6 +479,29 @@ class TestAttenuationStack:
 
 
 class TestSvdInjectivity:
+    def test_erosion_matches_scipy(self):
+        from scipy import ndimage
+
+        rng = np.random.default_rng(24)
+        masks = []
+        for ny in range(1, 13):
+            for nx in range(1, 13):
+                masks.append(rng.uniform(size=(ny, nx)) < 0.75)
+                masks += [np.zeros((ny, nx), dtype=bool), np.ones((ny, nx), dtype=bool)]
+        # One-pixel-wide strips, alone and inside a set raster.
+        for n in range(1, 13):
+            masks += [np.ones((1, n), dtype=bool), np.ones((n, 1), dtype=bool)]
+            block = np.ones((12, 12), dtype=bool)
+            block[n - 1] = False
+            masks.append(block)
+            masks.append(~block)
+            masks.append(block.T.copy())
+        for mask in masks:
+            want = ndimage.binary_erosion(mask, iterations=2)
+            got = tomography._erode_twice(mask)
+            assert got.dtype == bool
+            assert np.array_equal(got, want), mask.astype(int)
+
     def test_empty_cutoff_gives_zero_operator(self):
         grid = Grid(24, 24, 1.2)
         sigma = AbsorptionField.zero(grid)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from rte_tomo._interp import BilinearGather
+from rte_tomo._interp import BilinearGather, bilinear_sample
 from rte_tomo import transport
 from rte_tomo.coefficients import (AbsorptionField, AngularField, AngularMode,
                                    ScatteringKernel, TrigPoly)
@@ -721,6 +721,25 @@ class TestAdjointPairs:
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert crossed > 0
+
+    def test_bilinear_sample_matches_the_gather_bit_for_bit(self):
+        # Rasters with exact zeros and both signs make signed-zero products;
+        # the sums must match the CSR product's bits, -0.0 against 0.0 included.
+        rng = np.random.default_rng(24)
+        for case in range(30):
+            nx, ny = (2 * rng.integers(1, 9, size=2) + 1).tolist()
+            if nx == ny:
+                ny += 2
+            grid = Grid(nx, ny, 1.0)
+            raster = rng.standard_normal((ny, nx))
+            raster[rng.uniform(size=raster.shape) < 0.4] = 0.0
+            reach = 1.5 * grid.half_width
+            pts = rng.uniform(-reach, reach, (60, 2))
+            pts[:10] = grid.centers().reshape(-1, 2)[rng.integers(grid.n_pixels, size=10)]
+            got = bilinear_sample(grid, raster, pts.reshape(3, 20, 2))
+            want = BilinearGather.at_points(grid, pts).apply(raster.reshape(-1))
+            assert got.shape == (3, 20)
+            assert np.array_equal(got.reshape(-1).view(np.int64), want.view(np.int64)), case
 
     def test_summed_folds_runs(self):
         grid = Grid(9, 7, 1.0)
