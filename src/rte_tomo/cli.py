@@ -64,6 +64,11 @@ MAX_PIXEL_DIRECTIONS = 2**22
 # near 0.2 s and 14 MiB; the default is 96.
 MAX_EDGE_SAMPLES = 2**16
 
+# Cap on absorption.order of the cosine preset.  Its sign check builds one
+# raster at each of 4 order + 9 angles, 2.5 ms each on the 724x724 grid the
+# cap above admits (2 CPUs): 2.6 s there and 0.03 s at the default 64x64.
+MAX_ABSORPTION_ORDER = 256
+
 # Bounds on scattering.total * 2 R1 and on the Henyey-Greenstein harmonics
 # 2 scattering.n_modes + 1; see _validate.
 MAX_SCATTERING_REACH = 1e300
@@ -196,6 +201,13 @@ def _validate(cfg):
             f"certificate cannot overflow (lower scattering.total)")
     if cfg.source_radius <= 0.0:
         raise ConfigError("source.radius must be positive")
+    if cfg.seed < 0:
+        raise ConfigError(f"run.seed = {cfg.seed} must be nonnegative")
+    if (cfg.absorption_preset == "cosine"
+            and not 0 <= cfg.absorption_order <= MAX_ABSORPTION_ORDER):
+        raise ConfigError(
+            f"absorption.order = {cfg.absorption_order} must lie in "
+            f"[0, {MAX_ABSORPTION_ORDER}] for the cosine preset")
     for kind in ("source", "absorption"):
         if getattr(cfg, f"{kind}_preset") != "gaussian":
             continue
@@ -381,7 +393,8 @@ def build_cutoff(cfg):
 
 
 def build_source(cfg, grid, geom):
-    """Returns (raster, phantom); the phantom is None for raster sources."""
+    """The phantom of the disk and constant presets, or the raster of the
+    gaussian and csv presets."""
     preset = cfg.source_preset
     if preset == "disk":
         c = (cfg.source_center_x, cfg.source_center_y)
@@ -391,22 +404,19 @@ def build_source(cfg, grid, geom):
                 f"'source.radius') = ({c[0]:g}, {c[1]:g}, {cfg.source_radius:g}) "
                 f"reaches outside the source region (geometry.R = "
                 f"{geom.radius_inner:g})")
-        phantom = DiskPhantom(center=c, radius=cfg.source_radius,
-                              value=cfg.source_value)
-        return rasterize(phantom, grid, geom), phantom
+        return DiskPhantom(center=c, radius=cfg.source_radius, value=cfg.source_value)
     if preset == "constant":
         if cfg.source_radius > geom.radius_inner:
             raise ConfigError(
                 f"the constant source with 'source.radius' = {cfg.source_radius:g} "
                 f"reaches outside the source region (geometry.R = "
                 f"{geom.radius_inner:g})")
-        phantom = ConstantPhantom(radius=cfg.source_radius, value=cfg.source_value)
-        return rasterize(phantom, grid, geom), phantom
+        return ConstantPhantom(radius=cfg.source_radius, value=cfg.source_value)
     if preset == "gaussian":
         phantom = GaussianPhantom(center=(cfg.source_center_x, cfg.source_center_y),
                                   width=cfg.source_width,
                                   amplitude=cfg.source_amplitude)
-        return rasterize(phantom, grid, geom), None
+        return rasterize(phantom, grid, geom)
     if preset == "csv":
         try:
             path = _existing_path("source.path", cfg.source_path)
@@ -414,7 +424,7 @@ def build_source(cfg, grid, geom):
         except ValueError as exc:
             raise ConfigError(f"'source.path' is not a grid CSV: {exc}") from None
         _check_csv_grid("source.path", raster, radius, grid, geom)
-        return raster * grid.disk_mask(geom.radius_inner), None
+        return raster * grid.disk_mask(geom.radius_inner)
     raise ConfigError(f"'source.preset': unknown preset '{preset}'")
 
 
@@ -525,10 +535,7 @@ def _raster_norm(raster, grid):
 
 def _cmd_forward(cfg, rep):
     solver = _make_solver(cfg)
-    geom, grid = solver.geom, solver.grid
-    raster, phantom = build_source(cfg, grid, geom)
-    field, srep = solver.solve(f=None if phantom is not None else raster,
-                               phantom=phantom)
+    field, srep = solver.solve(build_source(cfg, solver.grid, solver.geom))
     rep.solve_report(srep)
     rep.value("field_phase_norm", field.norm())
     bd = solver.trace_field(field)
@@ -542,10 +549,9 @@ def _cmd_forward(cfg, rep):
 
 def _cmd_measure(cfg, rep):
     solver = _make_solver(cfg)
-    raster, phantom = build_source(cfg, solver.grid, solver.geom)
+    source = build_source(cfg, solver.grid, solver.geom)
     spec = build_cutoff(cfg)
-    bd, srep = solver.measurement(spec, f=None if phantom is not None else raster,
-                                  phantom=phantom)
+    bd, srep = solver.measurement(spec, source)
     rep.solve_report(srep)
     rep.value("measurement_norm", bd.norm())
     rep.check("measurement_zero_on_incoming",
@@ -556,9 +562,9 @@ def _cmd_measure(cfg, rep):
 
 def _cmd_normal(cfg, rep):
     solver = _make_solver(cfg)
-    raster, _ = build_source(cfg, solver.grid, solver.geom)
+    source = build_source(cfg, solver.grid, solver.geom)
     spec = build_cutoff(cfg)
-    image = normal_operator_full(solver, spec, raster)
+    image = normal_operator_full(solver, spec, source)
     remainder = _raster_norm(image.scattering_remainder, solver.grid)
     rep.value("normal_image_norm", _raster_norm(image.values, solver.grid))
     rep.line(f"L_V remainder norm = {formats.fmt(remainder)}")
@@ -631,8 +637,8 @@ def _cmd_svd(cfg, rep):
 
 def _cmd_wavefront(cfg, rep):
     solver = _make_solver(cfg)
-    raster, phantom = build_source(cfg, solver.grid, solver.geom)
-    if phantom is None:
+    phantom = build_source(cfg, solver.grid, solver.geom)
+    if not callable(phantom):
         raise ConfigError(
             f"'source.preset' = {cfg.source_preset}: wavefront requires a "
             f"piecewise-constant source preset (disk or constant)")

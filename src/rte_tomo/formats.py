@@ -64,7 +64,7 @@ def read_boundary_csv(path):
     return data[:, 0], data[:, 1], data[:, 2], data[:, 3]
 
 
-def write_pgm(path, raster, meta_lines=()):
+def write_pgm(path, raster):
     """8-bit binary PGM with the linear scale recorded in a .meta sidecar."""
     raster = np.asarray(raster, dtype=float)
     lo = float(raster.min())
@@ -83,8 +83,6 @@ def write_pgm(path, raster, meta_lines=()):
         fh.write(f"max = {fmt(hi)}\n")
         fh.write(f"cols = {nx}\n")
         fh.write(f"rows = {ny}\n")
-        for line in meta_lines:
-            fh.write(line + "\n")
 
 
 def read_pgm(path):

@@ -1,8 +1,9 @@
 """Analytic source phantoms supported in the inner disk.
 
-Phantoms are callables on (..., 2) point arrays.  Piecewise-constant ones
-also list their jump circles, so ray quadratures can split integration
-cells exactly at discontinuities.
+Phantoms are callables on (..., 2) point arrays; a callable source is a
+phantom wherever the API takes a raster.  Every phantom lists its jump
+circles (a smooth one lists none), so ray quadratures can split
+integration cells exactly at discontinuities.
 """
 
 from __future__ import annotations
@@ -80,9 +81,7 @@ class ConstantPhantom:
         return self.radius * normals, normals, np.full(n, abs(self.value))
 
 
-def rasterize(phantom, grid, geom=None):
+def rasterize(phantom, grid, geom):
     """Sample a phantom at pixel centers, zeroed outside the inner disk."""
     raster = np.asarray(phantom(grid.centers()), dtype=float)
-    if geom is not None:
-        raster = raster * grid.disk_mask(geom.radius_inner)
-    return raster
+    return raster * grid.disk_mask(geom.radius_inner)

@@ -113,15 +113,14 @@ def cutoff_stack(spec, geom, grid, angles):
 # ---------------------------------------------------------------------------
 
 
-def ray_transform(solver, spec, f=None, phantom=None):
+def ray_transform(solver, spec, f):
     """Attenuated ray transform cut to the visible boundary set.
 
     The solver's absorption attenuates; its kernel plays no part.  ``f`` is
-    a source raster over the inner disk; analytic phantoms go in through
-    ``phantom`` and are integrated with quadrature cells split at their
-    jump circles.
+    a source raster over the inner disk or an analytic phantom, which is
+    integrated with quadrature cells split at its jump circles.
     """
-    src = phantom if phantom is not None else solver._f_flat(f, None)
+    src = f if callable(f) else solver._f_flat(f)
     values = solver.trace_phase(None, src, spec)[..., 0]
     return BoundaryData(bgrid=solver.bgrid, values=values)
 
@@ -418,7 +417,8 @@ def _gradient_magnitude(raster, grid):
 def normal_operator_full(solver, spec, f, method="auto"):
     """X*X f with its ballistic part and scattering remainder.
 
-    On small grids the adjoint is the weighted transpose of the matrix that
+    f is a source raster or an analytic phantom, taken at its raster.  On
+    small grids the adjoint is the weighted transpose of the matrix that
     assemble_xv_matrix builds (its series summed in the kernel's moment
     space where that is cheaper); on large ones it is the transposed source
     iteration at matched series length.  The two agree to roundoff by
@@ -427,7 +427,7 @@ def normal_operator_full(solver, spec, f, method="auto"):
     if method not in ("auto", "matrix", "iterative"):
         raise ValueError("method must be 'auto', 'matrix', or 'iterative'")
     grid = solver.grid
-    f_flat = solver._f_flat(f, None)[:, 0]
+    f_flat = solver._f_flat(f)[:, 0]
     omega = solver._omega_flat
     m = series_length(solver)
     if method == "auto":
@@ -462,7 +462,8 @@ def normal_operator_full(solver, spec, f, method="auto"):
 def point_source_pairing(solver, spec, f, z):
     """Boundary inner product of the measurements of f and a pixel delta.
 
-    z is a pixel (iy, ix) or a flat pixel index.  The delta at pixel z
+    f is a source raster or an analytic phantom, taken at its raster; z is
+    a pixel (iy, ix) or a flat pixel index.  The delta at pixel z
     carries weight 1/pixel-area, so the pairing equals the normal-operator
     image at z up to floating-point accumulation order.
     """
@@ -481,7 +482,7 @@ def point_source_pairing(solver, spec, f, z):
     if not solver._omega_flat[zf]:
         raise ValueError("z must be a pixel of the source disk")
     m = series_length(solver)
-    f_flat = solver._f_flat(f, None)
+    f_flat = solver._f_flat(f)
     phi = np.zeros((grid.n_pixels, 1))
     phi[zf, 0] = 1.0 / grid.pixel_area
     bf = solver.xv_apply(f_flat, spec, m)[..., 0]
@@ -678,11 +679,8 @@ def wavefront_image(solver, spec, phantom, n_edge=96):
     edge_strengths.  The report groups edges by microvisibility of (z, xi),
     tested for all edges in one microvisible call.
     """
-    from .phantoms import rasterize
-
     grid, geom = solver.grid, solver.geom
-    f = rasterize(phantom, grid, geom)
-    image = normal_operator_full(solver, spec, f)
+    image = normal_operator_full(solver, spec, phantom)
     pts, normals, jumps = phantom.edge_points(n_edge)
     strengths = edge_strengths(image.values, grid, pts, normals, jumps)
     report = EdgeReport(points=pts, normals=normals, jumps=jumps,

@@ -61,6 +61,7 @@ from ._interp import BilinearGather, csr
 from .coefficients import (AbsorptionField, ScatteringKernel, ray_nodes, ray_points,
                            ray_step, trig_basis)
 from .geometry import cutoff_boundary_values, rotate90, uniform_angles, unit_vector
+from .phantoms import rasterize
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,12 +235,6 @@ def apply_J(f, grid, n_theta=64, geom=None):
     raster = source_raster(f, grid, geom)
     return PhaseSpaceField(grid=grid, theta_angles=uniform_angles(n_theta),
                            values=np.broadcast_to(raster, (n_theta,) + raster.shape).copy())
-
-
-def _phantom_circles(phantom):
-    if not hasattr(phantom, "jump_circles"):
-        return []
-    return list(phantom.jump_circles())
 
 
 def _unit_sources(n_pixels, pixels):
@@ -660,7 +655,7 @@ class TransportSolver:
         exit-chord operator folded from the distances of the same cells.
         Returns boundary values (n_bdry, n_theta, B).
         """
-        analytic = f_part is not None and not isinstance(f_part, np.ndarray)
+        analytic = callable(f_part)
         B = scatter.shape[2] if scatter is not None else (
             1 if analytic else f_part.shape[1])
         out = np.zeros((self.bgrid.n_bdry, self.n_theta, B))
@@ -674,7 +669,7 @@ class TransportSolver:
                     src = scatter[q] + f_part
                 out[rows, q] = chi * op.apply(src)
             return out
-        circles = _phantom_circles(f_part)
+        circles = f_part.jump_circles()
         for q, rows, chi in self._trace_rows(spec):
             _, weights, counts, dist = self._chord_cells(q, circles, rows)
             z, back = self.bgrid.points[rows], -self.theta_vecs[q]
@@ -837,24 +832,25 @@ class TransportSolver:
                 f"solve", self._report(0, (), False))
         return rho
 
-    def _f_flat(self, f, phantom):
-        from .phantoms import rasterize
-        if phantom is not None:
-            raster = rasterize(phantom, self.grid, self.geom)
+    def _f_flat(self, f):
+        """The source f, a raster or an analytic phantom, as an (N, 1) raster."""
+        if callable(f):
+            raster = rasterize(f, self.grid, self.geom)
         else:
             raster = source_raster(f, self.grid, self.geom)
         return raster.reshape(-1, 1)
 
-    def solve(self, f=None, phantom=None):
+    def solve(self, f):
         """Source iteration for u = T1^{-1}(K u + J f).
 
-        Returns (PhaseSpaceField, SolveReport).  Refuses to iterate when the
-        spectral radius bound is not safely below one; raises
+        f is a source raster or an analytic phantom, which the field records
+        for its trace.  Returns (PhaseSpaceField, SolveReport).  Refuses to
+        iterate when the spectral radius bound is not safely below one; raises
         NonConvergenceError carrying the report as soon as the residual is
         non-finite, or once max_iter is exhausted.
         """
-        f_flat = self._f_flat(f, phantom)
-        source = phantom if phantom is not None else f_flat
+        f_flat = self._f_flat(f)
+        source = f if callable(f) else f_flat
         jf = self.j_apply(f_flat)
         self.require_contraction()
         u = self.t1_apply(jf)
@@ -911,9 +907,10 @@ class TransportSolver:
         values = self.trace_phase(scatter, src, spec)[..., 0]
         return BoundaryData(bgrid=self.bgrid, values=values)
 
-    def measurement(self, spec, f=None, phantom=None):
-        """Partial boundary measurement chi * (trace of the solved field)."""
-        field, report = self.solve(f=f, phantom=phantom)
+    def measurement(self, spec, f):
+        """Partial boundary measurement chi * (trace of the solved field) of
+        a source raster or phantom f."""
+        field, report = self.solve(f)
         return self.trace_field(field, spec), report
 
     def xv_apply(self, f_flat, spec, n_terms):

@@ -141,11 +141,11 @@ def test_criterion_02_ballistic_measurement_consistency():
     # attenuation, and (e^{-c(R1-r)} - e^{-c(R1+r)})/c with constant c.
     ph = rt.DiskPhantom(radius=0.5, value=1.0)
     bd0 = rt.ray_transform(TransportSolver(GEOM, grid, n_theta=16, n_bdry=64),
-                           spec, phantom=ph)
+                           spec, ph)
     bd1 = rt.ray_transform(
         TransportSolver(GEOM, grid, rt.AbsorptionField.constant(grid, GEOM, 1.0),
                         n_theta=16, n_bdry=64),
-        spec, phantom=ph)
+        spec, ph)
     exact = (math.exp(-1.0 * (1.2 - 0.5)) - math.exp(-1.0 * (1.2 + 0.5))) / 1.0
     err0 = abs(float(bd0.values[0, 0]) - 1.0)
     err1 = abs(float(bd1.values[0, 0]) - exact)

@@ -180,13 +180,18 @@ class TestParseConfig:
          "scattering.preset = isotropic\nscattering.total = 1e307\n",
          "scattering.total = 1e+307 with geometry.R1 = 100 gives scattering.total "
          "* 2 R1 = inf; it must stay below 1e+300"),
+        # smoothing and svd raised ValueError from np.random.default_rng.
+        ("run.seed = -1\n", "run.seed = -1 must be nonnegative"),
+        # The sign check builds one raster at each of 4 order + 9 angles.
+        ("absorption.preset = cosine\nabsorption.order = 1000000000\n",
+         "absorption.order = 1000000000 must lie in [0, 256] for the cosine preset"),
     ], ids=["inf", "nan", "minus-inf", "negative-scattering", "negative-radius",
             "zero-radius", "tiny-ray-step", "huge-boundary-count",
             "zero-source-width", "negative-absorption-width",
             "subnormal-absorption-width", "tiny-source-width", "huge-phase-space",
             "huge-symbol-directions", "huge-edge-count", "huge-hg-mode-count",
             "huge-hg-table", "negative-hg-mode-count", "no-source-pixel",
-            "huge-scattering-total"])
+            "huge-scattering-total", "negative-seed", "huge-absorption-order"])
     def test_bad_values_rejected(self, text, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             parse_config(text)

@@ -343,6 +343,8 @@ def test_wavefront_survives_any_config(text):
 # noise, and the report gave high_freq_fraction_after = nan at exit 0.
 @example("grid.nx = 8\ngrid.ny = 8\ngrid.n_theta = 8\ngrid.n_bdry = 8\n"
          "scattering.preset = isotropic\nscattering.total = 9.661882710679254e+152\n")
+# A negative seed raised ValueError from np.random.default_rng.
+@example(_SMALL_FORWARD + "run.seed = -1\n")
 def test_smoothing_survives_any_config(text):
     status, report = run_cli("smoothing", text)
     event(f"exit {status}")

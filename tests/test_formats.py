@@ -116,11 +116,10 @@ class TestPgm:
 
     def test_meta_sidecar_records_extent(self, tmp_path):
         path = tmp_path / "img.pgm"
-        write_pgm(path, np.array([[1.0, 4.0]]), meta_lines=("note = hi",))
+        write_pgm(path, np.array([[1.0, 4.0]]))
         meta = (tmp_path / "img.pgm.meta").read_text()
         assert "min = 1\n" in meta
         assert "max = 4\n" in meta
-        assert "note = hi" in meta
 
     def test_rejects_non_pgm(self, tmp_path):
         path = tmp_path / "bad.pgm"

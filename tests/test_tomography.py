@@ -17,7 +17,7 @@ from rte_tomo.geometry import (
     visible_mask,
 )
 from rte_tomo import coefficients, tomography
-from rte_tomo.phantoms import ConstantPhantom, DiskPhantom
+from rte_tomo.phantoms import ConstantPhantom, DiskPhantom, rasterize
 from rte_tomo.tomography import (
     attenuation_stack,
     cutoff_stack,
@@ -68,7 +68,7 @@ class TestRayTransform:
         r = 0.5
         solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=16)
         bd = ray_transform(solver, CutoffSpec.full_data(),
-                           phantom=DiskPhantom(radius=r, value=1.0))
+                           DiskPhantom(radius=r, value=1.0))
         assert bd.values[0, 0] == pytest.approx(2.0 * r, abs=1e-9)
 
     def test_constant_attenuation_closed_form(self):
@@ -80,7 +80,7 @@ class TestRayTransform:
         solver = TransportSolver(GEOM, grid, sigma=sigma, n_theta=8, n_bdry=16,
                                  h_ray=GEOM.radius_outer / 512)
         bd = ray_transform(solver, CutoffSpec.full_data(),
-                           phantom=DiskPhantom(radius=r, value=1.0))
+                           DiskPhantom(radius=r, value=1.0))
         expected = (math.exp(-c * (D - r)) - math.exp(-c * (D + r))) / c
         assert bd.values[0, 0] == pytest.approx(expected, rel=1e-6)
 
@@ -88,7 +88,7 @@ class TestRayTransform:
         grid = Grid(32, 32, 1.2)
         solver = TransportSolver(GEOM, grid, n_theta=8, n_bdry=16)
         bd = ray_transform(solver, CutoffSpec.empty(),
-                           phantom=DiskPhantom(radius=0.5, value=1.0))
+                           DiskPhantom(radius=0.5, value=1.0))
         assert np.all(bd.values == 0.0)
 
 
@@ -201,6 +201,21 @@ class TestNormalOperatorFull:
         b = normal_operator_full(solver, HALF_SOFT, f, method="iterative")
         scale = np.max(np.abs(a.values))
         assert np.max(np.abs(a.values - b.values)) <= 1e-8 * scale
+
+    def test_phantom_equals_its_raster(self):
+        grid = Grid(24, 24, 1.2)
+        sigma = AbsorptionField.constant(grid, GEOM, 0.3)
+        kernel = ScatteringKernel.isotropic(grid, GEOM, 0.4)
+        solver = TransportSolver(GEOM, grid, sigma=sigma, kernel=kernel,
+                                 n_theta=16, n_bdry=64)
+        phantom = DiskPhantom(center=(0.1, -0.2), radius=0.4, value=1.3)
+        raster = rasterize(phantom, grid, GEOM)
+        a = normal_operator_full(solver, HALF_SOFT, phantom)
+        b = normal_operator_full(solver, HALF_SOFT, raster)
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.ballistic, b.ballistic)
+        assert (point_source_pairing(solver, HALF_SOFT, phantom, (12, 10))
+                == point_source_pairing(solver, HALF_SOFT, raster, (12, 10)))
 
     def test_unknown_method_fails_before_the_certificate(self):
         # The method is checked before series_length runs the contraction

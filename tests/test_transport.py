@@ -468,7 +468,7 @@ class TestTracePlus:
         grid = Grid(48, 48, 1.2)
         r = 0.5
         s = TransportSolver(geom, grid, n_theta=8, n_bdry=16)
-        u, _ = s.solve(phantom=DiskPhantom(radius=r, value=1.0))
+        u, _ = s.solve(DiskPhantom(radius=r, value=1.0))
         bd = s.trace_field(u)
         # Boundary angle 0 is the point (R1, 0); direction index 0 is
         # theta = (1, 0), an outgoing diameter through the phantom center.
@@ -480,10 +480,10 @@ class TestTracePlus:
         grid = Grid(40, 40, 1.2)
         sigma = AbsorptionField.gaussian(grid, geom, 0.5, width=0.5)
         s = TransportSolver(geom, grid, sigma=sigma, n_theta=12, n_bdry=48)
-        u, _ = s.solve(phantom=DiskPhantom(radius=0.5, value=1.0))
+        u, _ = s.solve(DiskPhantom(radius=0.5, value=1.0))
         traced = s.trace_field(u)
         direct = ray_transform(s, CutoffSpec.full_data(),
-                               phantom=DiskPhantom(radius=0.5, value=1.0))
+                               DiskPhantom(radius=0.5, value=1.0))
         np.testing.assert_allclose(traced.values, direct.values, atol=1e-8)
 
     def test_zero_h_ray_selects_the_default_step(self):
@@ -1061,7 +1061,7 @@ class TestRestrictedTrace:
         np.testing.assert_array_equal(s.xv_apply(f.reshape(-1, 1), self.SPEC, n_terms),
                                       chi[..., None] * fresh.trace_phase(series, None))
         phantom = DiskPhantom(center=(0.1, -0.2), radius=0.4, value=1.3)
-        for source in ({"f": f}, {"phantom": phantom}):
+        for source in ({"f": f}, {"f": phantom}):
             bd, _ = s.measurement(self.SPEC, **source)
             field, _ = fresh.solve(**source)
             np.testing.assert_array_equal(bd.values, chi * fresh.trace_field(field).values)
@@ -1083,7 +1083,7 @@ class TestRestrictedTrace:
         f = bumped_source(s.grid, GEOM)
         assert np.all(s.xv_apply(f.reshape(-1, 1), empty, 2) == 0.0)
         assert np.all(s.xv_transpose(np.ones((s.bgrid.n_bdry, s.n_theta, 1)), empty, 2) == 0.0)
-        for source in ({"f": f}, {"phantom": DiskPhantom(radius=0.4, value=1.0)}):
+        for source in ({"f": f}, {"f": DiskPhantom(radius=0.4, value=1.0)}):
             assert np.all(s.measurement(empty, **source)[0].values == 0.0)
         assert builds == []
 
