@@ -64,9 +64,12 @@ MAX_PIXEL_DIRECTIONS = 2**22
 # near 0.2 s and 14 MiB; the default is 96.
 MAX_EDGE_SAMPLES = 2**16
 
-# Cap on absorption.order of the cosine preset.  Its sign check builds one
-# raster at each of 4 order + 9 angles, 2.5 ms each on the 724x724 grid the
-# cap above admits (2 CPUs): 2.6 s there and 0.03 s at the default 64x64.
+# Cap on absorption.order of the cosine preset.  Building and sampling the
+# preset cost the same at every order (under 0.01 s to build at orders 1, 64
+# and 256 on the 724x724 grid the cap above admits, 2 CPUs).  What grows
+# with the order is the rounding of the argument order * phi: against a
+# 200-bit reference, cos(order phi) is off by up to 1.1e-13 at order 255
+# and 4.7e-7 at order 10^9 (|phi| <= 2 pi), so the cap keeps it near 1e-13.
 MAX_ABSORPTION_ORDER = 256
 
 # Bounds on scattering.total * 2 R1 and on the Henyey-Greenstein harmonics
@@ -645,14 +648,15 @@ def _cmd_wavefront(cfg, rep):
     spec = build_cutoff(cfg)
     # No microvisible edge means no visible response to compare with: refuse
     # before the image is built.
-    pts, normals, _ = phantom.edge_points(cfg.wavefront_n_edge)
-    if not np.any(microvisible(spec, solver.geom, pts, normals)):
+    pts, normals, jumps = phantom.edge_points(cfg.wavefront_n_edge)
+    visible = microvisible(spec, solver.geom, pts, normals)
+    if not np.any(visible):
         raise ConfigError(
             f"'cutoff.arcs' and 'cutoff.cones' leave 0 of {len(pts)} source edges "
             f"microvisible, so no edge can respond visibly and the response ratio "
             f"is undefined (widen cutoff.arcs or cutoff.cones)")
-    image, edges = wavefront_image(solver, spec, phantom,
-                                   n_edge=cfg.wavefront_n_edge)
+    image, edges = wavefront_image(solver, spec, phantom, (pts, normals, jumps),
+                                   visible)
     if not math.isfinite(edges.response_ratio):
         raise ConfigError(
             f"'cutoff.arcs' and 'cutoff.cones' leave {int(edges.visible.sum())} of "

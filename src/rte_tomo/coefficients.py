@@ -98,19 +98,8 @@ class AngularField:
                 raise ValueError("mode order must be >= 0")
 
     @property
-    def max_order(self):
-        return max((m.order for m in self.modes), default=0)
-
-    @property
     def is_zero(self):
         return all(np.all(m.raster == 0.0) for m in self.modes)
-
-    def slice_raster(self, angle):
-        """Combined raster at a fixed direction angle."""
-        out = np.zeros((self.grid.ny, self.grid.nx))
-        for m in self.modes:
-            out += trig_basis(m.order, m.phase, angle) * m.raster
-        return out
 
     def sample(self, points, angle):
         """Exact-where-available point values at one angle or one per point."""
@@ -122,26 +111,18 @@ class AngularField:
 
 
 class AbsorptionField(AngularField):
-    """Nonnegative absorption sigma(x, theta) as truncated angular modes."""
+    """Nonnegative absorption sigma(x, theta) as truncated angular modes.
+
+    Each preset proves its own sign from its arguments: constant and
+    gaussian refuse a negative value or amplitude (the extension factor lies
+    in [0, 1]), and cosine_anisotropic refuses |amplitude| > base.  Only
+    from_raster, which takes outside data, checks the raster it is given.
+    """
 
     def __init__(self, grid, modes):
         super().__init__(grid, modes)
-        # min/max below cannot see nan, and -inf fails no scaled bound.
         if not all(np.all(np.isfinite(m.raster)) for m in self.modes):
             raise ValueError("absorption field has non-finite values")
-        if self.modes:
-            self._check_nonnegative()
-
-    def _check_nonnegative(self):
-        worst = np.inf
-        scale = 0.0
-        angles = np.linspace(0.0, TWO_PI, 4 * self.max_order + 9)
-        for ang in angles:
-            s = self.slice_raster(ang)
-            worst = min(worst, float(s.min()))
-            scale = max(scale, float(np.abs(s).max()))
-        if worst < -1e-12 * max(scale, 1.0):
-            raise ValueError("absorption field takes negative values")
 
     @classmethod
     def zero(cls, grid):
@@ -211,7 +192,12 @@ class AbsorptionField(AngularField):
         # inf * 0 outside the extension is nan, which __init__ refuses.
         with np.errstate(invalid="ignore"):
             tapered = raster * ext
-        return cls(grid, modes=(AngularMode(0, "cos", tapered),))
+        sigma = cls(grid, modes=(AngularMode(0, "cos", tapered),))
+        # After the non-finite refusal: min cannot see nan, and -inf fails no
+        # scaled bound.
+        if tapered.min() < -1e-12 * max(float(np.abs(tapered).max()), 1.0):
+            raise ValueError("absorption field takes negative values")
+        return sigma
 
 
 @dataclass(frozen=True)

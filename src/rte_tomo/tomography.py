@@ -25,7 +25,6 @@ from .geometry import (
     exit_times,
     cutoff_boundary_values,
     cutoff_extended_values,
-    microvisible,
     rotate90,
     uniform_angles,
     unit_vector,
@@ -671,19 +670,18 @@ def edge_strengths(values, grid, points, normals, jumps):
     return np.abs(acc / len(shifts)) / np.where(jumps > 0.0, jumps, 1.0)
 
 
-def wavefront_image(solver, spec, phantom, n_edge=96):
+def wavefront_image(solver, spec, phantom, edges, visible):
     """Normal-operator image of a phantom plus its edge-response report.
 
-    Edge strength at a labeled point (z, xi) is the trend-cancelling
-    finite difference of N along xi over EDGE_WINDOW pixels; see
-    edge_strengths.  The report groups edges by microvisibility of (z, xi),
-    tested for all edges in one microvisible call.
+    edges is the (points, normals, jumps) triple of phantom.edge_points and
+    visible its microvisible mask under spec, both from the caller.  Edge
+    strength at a labeled point (z, xi) is the trend-cancelling finite
+    difference of N along xi over EDGE_WINDOW pixels; see edge_strengths.
+    The report groups edges by microvisibility of (z, xi).
     """
-    grid, geom = solver.grid, solver.geom
     image = normal_operator_full(solver, spec, phantom)
-    pts, normals, jumps = phantom.edge_points(n_edge)
-    strengths = edge_strengths(image.values, grid, pts, normals, jumps)
+    pts, normals, jumps = edges
+    strengths = edge_strengths(image.values, solver.grid, pts, normals, jumps)
     report = EdgeReport(points=pts, normals=normals, jumps=jumps,
-                        strengths=strengths,
-                        visible=microvisible(spec, geom, pts, normals))
+                        strengths=strengths, visible=visible)
     return image, report

@@ -22,7 +22,9 @@ from them have machine-precision adjoint pairings.
 
 Boundary traces re-integrate the transport source along the exit chord with
 the same attenuated quadrature used by the ray transform; a field produced
-by a transport solve remembers its source for this purpose.  Only the live
+by a transport solve remembers its source for this purpose, in the form the
+trace reads (the analytic phantom or the (N, 1) raster, and the
+(n_theta, N, 1) scattering source).  Only the live
 cells of a chord, those before its entry point, enter the quadrature; one
 builder lays them out as flat ragged arrays, chord after chord, with an
 analytic source's jump-circle crossings merged into each chord's lattice.
@@ -183,16 +185,19 @@ class PhaseSpaceField:
     """Field u(x, theta) on raster pixels times the direction grid.
 
     ``source_f`` and ``source_scatter`` record, when known, the transport
-    source whose free-streaming integral produced this field.
-    TransportSolver.trace_field re-integrates that source along the exit
-    chords, so it traces only fields that record one.
+    source whose free-streaming integral produced this field, in the form
+    TransportSolver.trace_phase reads: ``source_f`` is the analytic phantom
+    or the (N, 1) pixel raster, ``source_scatter`` the (n_theta, N, 1)
+    scattering source or None.  TransportSolver.trace_field re-integrates
+    that source along the exit chords, so it traces only fields that record
+    one.
     """
 
     grid: object
     theta_angles: np.ndarray
     values: np.ndarray                # (n_theta, ny, nx)
-    source_f: object = None           # raster or analytic phantom
-    source_scatter: np.ndarray = None
+    source_f: object = None           # analytic phantom or (N, 1) raster
+    source_scatter: np.ndarray = None  # (n_theta, N, 1)
 
     def __post_init__(self):
         n_theta = len(self.theta_angles)
@@ -850,40 +855,34 @@ class TransportSolver:
         non-finite, or once max_iter is exhausted.
         """
         f_flat = self._f_flat(f)
-        source = f if callable(f) else f_flat
         jf = self.j_apply(f_flat)
         self.require_contraction()
         u = self.t1_apply(jf)
-        if self.kernel.is_zero or float(phase_norm(u, self.grid)[0]) == 0.0:
-            return self._make_field(u, source, None), self._report(1, (), True)
-        history = []
-        for it in range(2, self.max_iter + 1):
-            scatter = self.k_apply(u)
-            u_next = self.t1_apply(jf + scatter)
-            res = float(phase_norm(u_next - u, self.grid)[0])
-            res /= max(float(phase_norm(u_next, self.grid)[0]), 1e-300)
-            history.append(res)
-            u = u_next
-            if not math.isfinite(res):
+        scatter, it, history = None, 1, []
+        if not (self.kernel.is_zero or float(phase_norm(u, self.grid)[0]) == 0.0):
+            for it in range(2, self.max_iter + 1):
+                scatter = self.k_apply(u)
+                u_next = self.t1_apply(jf + scatter)
+                res = float(phase_norm(u_next - u, self.grid)[0])
+                res /= max(float(phase_norm(u_next, self.grid)[0]), 1e-300)
+                history.append(res)
+                u = u_next
+                if not math.isfinite(res):
+                    raise NonConvergenceError(
+                        f"fixed-point residual is non-finite ({res}) at iteration {it}",
+                        self._report(it, history, False))
+                if res < self.tol:
+                    break
+            else:
                 raise NonConvergenceError(
-                    f"fixed-point residual is non-finite ({res}) at iteration {it}",
-                    self._report(it, history, False))
-            if res < self.tol:
-                return self._make_field(u, source, scatter), self._report(it, history, True)
-        raise NonConvergenceError(
-            f"fixed point did not reach tolerance {self.tol:g} in "
-            f"{self.max_iter} iterations", self._report(self.max_iter, history, False))
-
-    def _make_field(self, values, source_f, scatter):
-        if isinstance(source_f, np.ndarray):
-            source_f = source_f.reshape(self.grid.ny, self.grid.nx)
-        return PhaseSpaceField(
-            grid=self.grid,
-            theta_angles=self.theta_angles,
-            values=values[..., 0].reshape(self.n_theta, self.grid.ny, self.grid.nx),
-            source_f=source_f,
-            source_scatter=scatter[..., 0] if scatter is not None else None,
-        )
+                    f"fixed point did not reach tolerance {self.tol:g} in "
+                    f"{self.max_iter} iterations",
+                    self._report(self.max_iter, history, False))
+        field = PhaseSpaceField(
+            grid=self.grid, theta_angles=self.theta_angles,
+            values=u[..., 0].reshape(self.n_theta, self.grid.ny, self.grid.nx),
+            source_f=f if callable(f) else f_flat, source_scatter=scatter)
+        return field, self._report(it, history, True)
 
     # -- measurement operator ------------------------------------------------
 
@@ -898,13 +897,7 @@ class TransportSolver:
         if field.source_f is None and field.source_scatter is None:
             raise ValueError("field carries no transport source to trace; trace "
                              "a field returned by TransportSolver.solve")
-        scatter = None
-        if field.source_scatter is not None:
-            scatter = field.source_scatter[..., None]
-        src = field.source_f
-        if isinstance(src, np.ndarray):
-            src = src.reshape(-1, 1)
-        values = self.trace_phase(scatter, src, spec)[..., 0]
+        values = self.trace_phase(field.source_scatter, field.source_f, spec)[..., 0]
         return BoundaryData(bgrid=self.bgrid, values=values)
 
     def measurement(self, spec, f):

@@ -346,7 +346,9 @@ def test_criterion_10_shadowed_edges_stay_quiet():
     solver = TransportSolver(GEOM, grid, sigma, kernel, n_theta=64, n_bdry=256)
     rho = solver.spectral_radius()
     ph = rt.DiskPhantom(radius=0.5, value=1.0)
-    _, edges = rt.wavefront_image(solver, spec, ph, n_edge=72)
+    pts, normals, jumps = ph.edge_points(72)
+    _, edges = rt.wavefront_image(solver, spec, ph, (pts, normals, jumps),
+                                  rt.microvisible(spec, GEOM, pts, normals))
     min_visible = float(edges.strengths[edges.visible].min())
     ok = (rho < 1.0 and min_visible > 0.0
           and edges.response_ratio <= 0.2)

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rte_tomo import cli, formats
+from rte_tomo import cli, formats, geometry, tomography
 from rte_tomo.cli import ConfigError, parse_config, run_command
 from rte_tomo.geometry import Grid
+from rte_tomo.phantoms import DiskPhantom
 
 TINY = """
 geometry.R = 1.0
@@ -266,6 +267,19 @@ class TestExitCodes:
         assert f"'{kind}.path'" in err
         assert "non-finite" in err
         assert "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_negative_absorption_csv_exits_one(self, tmp_path, capsys):
+        raster = np.ones((24, 24))
+        raster[12, 12] = -0.5
+        bad = tmp_path / "negative.csv"
+        formats.write_grid_csv(bad, raster, 1.2)
+        text = TINY + f"absorption.preset = csv\nabsorption.path = {bad}\n"
+        code, out_dir = launch(tmp_path, "forward", text)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "'absorption.path' rejected by the csv absorption preset" in err
+        assert "takes negative values" in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("kind", ["source", "absorption"])
@@ -641,6 +655,29 @@ class TestWavefrontCommand:
         err = capsys.readouterr().err
         assert "'cutoff.arcs' and 'cutoff.cones' leave 0 of 40 source edges" in err
         assert not out_dir.exists()
+
+
+    def test_edges_and_their_visibility_are_found_once(self, tmp_path, monkeypatch):
+        calls = {"edge_points": 0, "microvisible": 0}
+        edge_points = DiskPhantom.edge_points
+        microvisible = geometry.microvisible
+
+        def counted_edges(phantom, n):
+            calls["edge_points"] += 1
+            return edge_points(phantom, n)
+
+        def counted_visible(*args):
+            calls["microvisible"] += 1
+            return microvisible(*args)
+
+        monkeypatch.setattr(DiskPhantom, "edge_points", counted_edges)
+        # Every module that bound microvisible at import time.
+        for mod in (cli, geometry, tomography):
+            if getattr(mod, "microvisible", None) is microvisible:
+                monkeypatch.setattr(mod, "microvisible", counted_visible)
+        code, _ = launch(tmp_path, "wavefront", TINY + "wavefront.n_edge = 12\n")
+        assert code == 0
+        assert calls == {"edge_points": 1, "microvisible": 1}
 
 
 class TestSmoothingCommand:

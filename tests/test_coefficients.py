@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 
 import rte_tomo as rt
@@ -67,11 +68,22 @@ class TestAbsorptionPresets:
     @pytest.mark.parametrize("value", [math.nan, -math.inf, math.inf])
     def test_nonfinite_raster_rejected(self, value, pixel):
         # The corner lies outside the extension, where the raster is tapered
-        # to 0 and inf * 0 is nan.
+        # to 0 and inf * 0 is nan.  The negative entry beside it does not
+        # turn the refusal into a sign error.
         raster = np.ones((GRID.ny, GRID.nx))
+        raster[20, 20] = -0.5
         raster[pixel] = value
         with pytest.raises(ValueError, match="non-finite"):
             rt.AbsorptionField.from_raster(GRID, GEOM, raster)
+
+    def test_negative_raster_rejected(self):
+        raster = np.ones((GRID.ny, GRID.nx))
+        raster[24, 24] = -0.5
+        with pytest.raises(ValueError, match="takes negative values"):
+            rt.AbsorptionField.from_raster(GRID, GEOM, raster)
+        # Rounding-sized negatives stay within the check's slack.
+        raster[24, 24] = -1e-13
+        rt.AbsorptionField.from_raster(GRID, GEOM, raster)
 
     def test_anisotropic_must_stay_nonnegative(self):
         with pytest.raises(ValueError):
@@ -121,7 +133,54 @@ class TestAbsorptionPresets:
         raster = np.abs(rng.standard_normal((GRID.ny, GRID.nx)))
         raster *= GRID.disk_mask(GEOM.radius_inner)
         sigma = rt.AbsorptionField.from_raster(GRID, GEOM, raster)
-        assert np.allclose(sigma.slice_raster(0.3), raster)
+        assert np.allclose(sigma.modes[0].raster, raster)
+
+
+def _sample_points_and_angles(seed):
+    """Random points over the grid square and past it, the pixel centres,
+    and one random direction angle per point."""
+    rng = np.random.default_rng(seed)
+    pts = np.concatenate([rng.uniform(-1.4, 1.4, (256, 2)),
+                          GRID.centers().reshape(-1, 2)])
+    return pts, rng.uniform(-4.0 * math.pi, 4.0 * math.pi, len(pts))
+
+
+# The presets take no runtime sign check: each is nonnegative by the check
+# it runs on its own arguments, and these properties pin that down.
+_PRESET_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                            database=None)
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+@_PRESET_SETTINGS
+@given(base_amp=st.floats(0.0, 1e3).flatmap(
+           lambda b: st.tuples(st.just(b), st.floats(-b, b))),
+       order=st.integers(0, 256), seed=_SEEDS)
+def test_cosine_preset_is_nonnegative(base_amp, order, seed):
+    base, amplitude = base_amp
+    sigma = rt.AbsorptionField.cosine_anisotropic(GRID, GEOM, base, amplitude,
+                                                  order=order)
+    pts, angles = _sample_points_and_angles(seed)
+    assert np.all(sigma.sample(pts, angles) >= 0.0)
+
+
+@_PRESET_SETTINGS
+@given(value=st.floats(0.0, 1e3), seed=_SEEDS)
+def test_constant_preset_is_nonnegative(value, seed):
+    sigma = rt.AbsorptionField.constant(GRID, GEOM, value)
+    pts, angles = _sample_points_and_angles(seed)
+    assert np.all(sigma.sample(pts, angles) >= 0.0)
+
+
+@_PRESET_SETTINGS
+@given(amplitude=st.floats(0.0, 1e3),
+       center=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+       width=st.floats(1e-3, 3.0), seed=_SEEDS)
+def test_gaussian_preset_is_nonnegative(amplitude, center, width, seed):
+    sigma = rt.AbsorptionField.gaussian(GRID, GEOM, amplitude, center=center,
+                                        width=width)
+    pts, angles = _sample_points_and_angles(seed)
+    assert np.all(sigma.sample(pts, angles) >= 0.0)
 
 
 class TestScatteringKernel:

@@ -786,6 +786,13 @@ def _rho_one_total(grid, geom, n_theta, n_bdry, sigma):
     return probe.spectral_radius()
 
 
+def _edges(solver, spec, phantom, n):
+    """phantom.edge_points(n) and its microvisible mask, as the wavefront
+    command computes them once and passes them to wavefront_image."""
+    edges = phantom.edge_points(n)
+    return edges, microvisible(spec, solver.geom, edges[0], edges[1])
+
+
 class TestWavefrontImage:
     @staticmethod
     def _scaled_solver(grid, sigma, rho_target, n_theta, n_bdry):
@@ -799,8 +806,9 @@ class TestWavefrontImage:
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
         solver = self._scaled_solver(grid, sigma, 0.15, 64, 256)
-        _, report = wavefront_image(solver, CutoffSpec.full_data(),
-                                    DiskPhantom(radius=0.5, value=1.0), n_edge=72)
+        spec, phantom = CutoffSpec.full_data(), DiskPhantom(radius=0.5, value=1.0)
+        _, report = wavefront_image(solver, spec, phantom,
+                                    *_edges(solver, spec, phantom, 72))
         assert np.all(report.visible)
         assert float(np.min(report.strengths)) > 0.0
 
@@ -808,8 +816,9 @@ class TestWavefrontImage:
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
         solver = self._scaled_solver(grid, sigma, 0.15, 64, 256)
-        _, report = wavefront_image(solver, HALF_SOFT,
-                                    DiskPhantom(radius=0.5, value=1.0), n_edge=72)
+        phantom = DiskPhantom(radius=0.5, value=1.0)
+        _, report = wavefront_image(solver, HALF_SOFT, phantom,
+                                    *_edges(solver, HALF_SOFT, phantom, 72))
         assert np.any(report.visible)
         assert np.any(~report.visible)
         assert report.response_ratio <= 0.2
@@ -823,10 +832,10 @@ class TestWavefrontImage:
         grid = Grid(48, 48, 1.2)
         sigma = AbsorptionField.constant(grid, GEOM, 0.3)
         solver = self._scaled_solver(grid, sigma, 0.15, 32, 128)
-        flat, _ = wavefront_image(solver, CutoffSpec.full_data(),
-                                  ConstantPhantom(radius=GEOM.radius_inner * 0.98))
-        edged, _ = wavefront_image(solver, CutoffSpec.full_data(),
-                                   DiskPhantom(radius=0.5, value=1.0))
+        flat = normal_operator_full(solver, CutoffSpec.full_data(),
+                                    ConstantPhantom(radius=GEOM.radius_inner * 0.98))
+        edged = normal_operator_full(solver, CutoffSpec.full_data(),
+                                     DiskPhantom(radius=0.5, value=1.0))
         probes, normals, jumps = DiskPhantom(radius=0.5, value=1.0).edge_points(72)
         ghost = edge_strengths(flat.values, grid, probes, normals, jumps)
         real = edge_strengths(edged.values, grid, probes, normals, jumps)
