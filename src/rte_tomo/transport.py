@@ -48,8 +48,12 @@ discrete direction grid, K T1^{-1} is an entrywise nonnegative matrix (the
 gathers and march factors are all nonnegative), so a Collatz-Wielandt
 bracket proves bounds on its spectral radius: for any x > 0 on the
 kernel's pixel support, min (Ax)_i / x_i <= rho <= max (Ax)_i / x_i.  The
-bracket is tightened by normalised power steps until it closes.  A kernel
-with a negative discrete entry falls back to a power-iteration estimate.
+bracket's x after its first step is the dominant Ritz vector of a short
+Arnoldi run in the kernel's moment space, where K T1^{-1} = E M T1^{-1}
+has the same nonzero spectrum as C = M T1^{-1} E, lifted to phase space by
+E; normalised power steps tighten the bracket from there until it closes.
+A kernel with a negative discrete entry falls back to a power-iteration
+estimate.
 """
 
 from __future__ import annotations
@@ -78,6 +82,19 @@ CONTRACTION_MARGIN = 1e-3
 # either way.
 BRACKET_RTOL = 1e-11
 BRACKET_MAX_APPLICATIONS = 60
+
+# The Arnoldi run that starts the bracket stops when its dominant Ritz value
+# moves by at most ARNOLDI_RTOL of itself, when its Krylov space is
+# invariant, or after ARNOLDI_MAX_STEPS products with C; its basis holds at
+# most KRYLOV_MAX_ENTRIES floats (32 MiB), which caps the steps of a large
+# moment space.  The Ritz pair of its small Hessenberg matrix comes from at
+# most RITZ_MAX_STEPS power steps, stopped when the growth moves by at most
+# RITZ_RTOL of itself.
+ARNOLDI_RTOL = 1e-13
+ARNOLDI_MAX_STEPS = 40
+KRYLOV_MAX_ENTRIES = 2**22
+RITZ_RTOL = 1e-15
+RITZ_MAX_STEPS = 300
 
 # Kernel entries per pixel chunk of the discrete sign check, so the check
 # never holds an (n_theta^2, N) table.
@@ -110,7 +127,9 @@ class Certificate:
 
     method is "collatz-wielandt" (rho lies in [lower, upper]),
     "power-iteration" (upper is an estimate, lower is None) or "none" (zero
-    kernel, rho = 0); applications counts the products with K T1^{-1} spent.
+    kernel, rho = 0); applications counts the products spent, one sweep
+    each: bracket and power steps with K T1^{-1}, and Arnoldi steps with its
+    moment-space form C.
     """
 
     method: str
@@ -242,6 +261,28 @@ def apply_J(f, grid, n_theta=64, geom=None):
                            values=np.broadcast_to(raster, (n_theta,) + raster.shape).copy())
 
 
+def _dominant_pair(H, s):
+    """(growth, unit vector) of power iteration on a small square H from s.
+
+    Stops when the growth ||H s|| of a unit s moves by at most RITZ_RTOL of
+    itself, or after RITZ_MAX_STEPS steps; the growth then approximates the
+    largest eigenvalue modulus of H.  A zero product gives growth 0.
+    """
+    s = s / math.sqrt(float(s @ s))
+    growth = 0.0
+    for _ in range(RITZ_MAX_STEPS):
+        w = H @ s
+        g = math.sqrt(float(w @ w))
+        if g == 0.0:
+            return 0.0, s
+        s = w / g
+        settled = abs(g - growth) <= RITZ_RTOL * g
+        growth = g
+        if settled:
+            break
+    return growth, s
+
+
 def _unit_sources(n_pixels, pixels):
     """(n_pixels, len(pixels)) raster columns, column c the unit source at
     pixels[c]."""
@@ -278,6 +319,7 @@ class TransportSolver:
         self._march_A = None
         self._k_tables = None
         self._moment_space = None
+        self._lift_at = None
         self._moment_C = None
         self.certificate = None
 
@@ -390,13 +432,15 @@ class TransportSolver:
         """
         B = values.shape[2]
         to, back = self._rotations()
-        h2 = 0.5 * self._h_march
         g = (to @ values.reshape(-1, B)).reshape(
             (self.grid.nx, self.n_theta, self.grid.ny, B))
-        u = np.zeros_like(g)
+        g *= 0.5 * self._h_march
+        u = np.empty_like(g)
+        u[0] = 0.0
         for i in range(1, self.grid.nx):
-            Ai = self._march_A[i - 1, :, :, None]
-            u[i] = Ai * (u[i - 1] + h2 * g[i - 1]) + h2 * g[i]
+            np.add(u[i - 1], g[i - 1], out=u[i])
+            u[i] *= self._march_A[i - 1, :, :, None]
+            u[i] += g[i]
         return (back @ u.reshape(-1, B)).reshape(values.shape)
 
     def t1_transpose(self, values):
@@ -426,14 +470,39 @@ class TransportSolver:
         where some row of ka is nonzero; live lists, as flat indices into
         (len(S), T) in pixel-major order, the moments (pixel, row) where ka is
         nonzero, the only ones E reads.  len(live) is the dimension D of the
-        moment space; a zero kernel has D = 0.
+        moment space; a zero kernel has D = 0.  The same moments as flat
+        indices into a (T, N) table are kept for moment_lift.
         """
         if self._moment_space is None:
             _, ka, _ = self._k_matrices()
             support = np.flatnonzero(np.any(ka != 0.0, axis=0))
             live = np.flatnonzero(ka[:, support].T.reshape(-1) != 0.0)
+            pix, row = np.divmod(live, len(ka))
             self._moment_space = (support, live)
+            self._lift_at = row * self.grid.n_pixels + support[pix]
         return self._moment_space
+
+    def moment_restrict(self, u):
+        """M: the live moments (D, B) of a field u (n_theta, N, B)."""
+        trig, _, _ = self._k_matrices()
+        support, live = self.moment_layout()
+        moments = self.w_theta * np.einsum("tq,qsb->stb", trig, u[:, support])
+        return moments.reshape(-1, u.shape[2])[live]
+
+    def moment_lift(self, z):
+        """E: the field (n_theta, N, B) spread from live moments z (D, B),
+        zero off the kernel's pixel support."""
+        _, ka, theta_mat = self._k_matrices()
+        self.moment_layout()
+        B = z.shape[1]
+        weighted = np.zeros((ka.size, B))
+        weighted[self._lift_at] = ka.reshape(-1, 1)[self._lift_at] * z
+        return np.einsum("tq,tnb->qnb", theta_mat, weighted.reshape(ka.shape + (B,)))
+
+    def moment_apply(self, z):
+        """C z = M T1^{-1} E z on live moments z (D, B), one sweep; C is
+        never built."""
+        return self.moment_restrict(self.t1_apply(self.moment_lift(z)))
 
     def moment_matrix(self):
         """C = M T1^{-1} E on the live moments, (D, D), built once.
@@ -497,29 +566,19 @@ class TransportSolver:
         blocks, but the series runs on all of them at once, so its products
         with C are few and large.  The trace takes J f as its raster part.
         """
-        trig, ka, theta_mat = self._k_matrices()
-        support, live = self.moment_layout()
         C = self.moment_matrix()
         n_pixels = self.grid.n_pixels
-        b = np.empty((len(live), len(pixels)))
+        b = np.empty((len(C), len(pixels)))
         for blk in blocks:
             f = _unit_sources(n_pixels, pixels[blk])
-            u = self.t1_apply(self.j_apply(f))[:, support]
-            b[:, blk] = self.w_theta * np.einsum("tq,qsb->stb", trig, u).reshape(
-                -1, f.shape[1])[live]
+            b[:, blk] = self.moment_restrict(self.t1_apply(self.j_apply(f)))
         z = b
         for _ in range(n_terms - 1):
             z = b + C @ z
-        ka_s = ka[:, support].T[..., None]
         out = np.empty((self.bgrid.n_bdry, self.n_theta, len(pixels)))
         for blk in blocks:
             f = _unit_sources(n_pixels, pixels[blk])
-            moments = np.zeros((len(support) * len(trig), f.shape[1]))
-            moments[live] = z[:, blk]
-            moments = moments.reshape(len(support), len(trig), f.shape[1])
-            scatter = np.zeros((self.n_theta,) + f.shape)
-            scatter[:, support] = np.einsum("tq,stb->qsb", theta_mat, ka_s * moments)
-            out[..., blk] = self.trace_phase(scatter, f, spec)
+            out[..., blk] = self.trace_phase(self.moment_lift(z[:, blk]), f, spec)
         return out
 
     # -- boundary trace -----------------------------------------------------
@@ -758,13 +817,17 @@ class TransportSolver:
         x = y / max_S y/x is the next start.  The first x is the kernel's
         largest factor magnitude at each pixel of S, scaled to peak at 1: a
         flat start would put the first lower end near the smallest kernel
-        value on S, which the tapered extension drives towards zero.  Stops
-        when the gap is at most BRACKET_RTOL of the upper end, when the
-        lower end proves the refusal, or after BRACKET_MAX_APPLICATIONS
-        steps.  A product that overflows gives an infinite, still sound,
-        upper end.  Returns (Certificate or None, products spent); None when
-        the kernel has a negative discrete entry or an iterate is not
-        strictly positive on S.
+        value on S, which the tapered extension drives towards zero.  When
+        that first step decides neither the gap nor the refusal, the next x
+        is |E z| for the Ritz vector z of _arnoldi_ritz, started from the
+        moments M T1^{-1} x of the first step, if it is strictly positive
+        on S (the first step's y / max_S y/x otherwise).  Stops when the gap
+        is at most BRACKET_RTOL of the upper end, when the lower end proves
+        the refusal, or after BRACKET_MAX_APPLICATIONS products, the Arnoldi
+        steps included.  A product that overflows gives an infinite, still
+        sound, upper end.  Returns (Certificate or None, products spent);
+        None when the kernel has a negative discrete entry or an iterate is
+        not strictly positive on S.
         """
         if not self._kernel_nonnegative():
             return None, 0
@@ -773,8 +836,11 @@ class TransportSolver:
         support = profile > 0.0
         x = np.zeros((self.n_theta, self.grid.n_pixels, 1))
         x[:, support, 0] = profile[support] / profile.max()
-        for n in range(1, BRACKET_MAX_APPLICATIONS + 1):
-            y = self.k_apply(self.t1_apply(x))
+        n = 0
+        while n < BRACKET_MAX_APPLICATIONS:
+            swept = self.t1_apply(x)
+            y = self.k_apply(swept)
+            n += 1
             y_s = y[:, support]
             if not np.all(y_s > 0.0):
                 return None, n
@@ -783,7 +849,53 @@ class TransportSolver:
             if hi - lo <= BRACKET_RTOL * hi or lo >= 1.0 - CONTRACTION_MARGIN:
                 break
             x = y / hi
+            if n == 1:
+                z, steps = self._arnoldi_ritz(self.moment_restrict(swept),
+                                              BRACKET_MAX_APPLICATIONS - 2)
+                n += steps
+                lifted = np.abs(self.moment_lift(z))
+                if np.all(lifted[:, support] > 0.0):
+                    x = lifted
         return Certificate("collatz-wielandt", n, hi, lo), n
+
+    def _arnoldi_ritz(self, start, budget):
+        """(z, products spent): the dominant Ritz vector z (D, 1) of C.
+
+        Arnoldi on moment_apply from start (D, 1), with classical
+        Gram-Schmidt run twice per step, in elementwise numpy on a basis of
+        at most KRYLOV_MAX_ENTRIES floats.  After each step the dominant
+        eigenpair of the small Hessenberg matrix H comes from _dominant_pair,
+        warm-started from the last one.  Stops when that Ritz value moves by
+        at most ARNOLDI_RTOL of itself, when the Krylov space is invariant
+        (it spans the moment space, or the next vector vanishes, so H has a
+        zero subdiagonal entry), or after min(ARNOLDI_MAX_STEPS, budget)
+        steps.  Returns start itself when no step fits.
+        """
+        dim = len(start)
+        steps = min(ARNOLDI_MAX_STEPS, budget, dim, KRYLOV_MAX_ENTRIES // dim)
+        if steps < 1:
+            return start, 0
+        V = np.empty((steps, dim))
+        V[0] = start[:, 0] / math.sqrt(float(np.einsum("db,db->", start, start)))
+        H = np.zeros((steps, steps))
+        ritz, s = 0.0, np.ones(1)
+        for k in range(steps):
+            w = self.moment_apply(V[k][:, None])[:, 0]
+            basis = V[:k + 1]
+            for _ in range(2):
+                h = np.einsum("kd,d->k", basis, w)
+                w -= np.einsum("k,kd->d", h, basis)
+                H[:k + 1, k] += h
+            beta = math.sqrt(float(np.einsum("d,d->", w, w)))
+            previous = ritz
+            ritz, s = _dominant_pair(H[:k + 1, :k + 1], s)
+            if (k + 1 == steps or beta == 0.0
+                    or abs(ritz - previous) <= ARNOLDI_RTOL * ritz):
+                break
+            H[k + 1, k] = beta
+            V[k + 1] = w / beta
+            s = np.append(s, 0.0)
+        return np.einsum("k,kd->d", s, V[:k + 1])[:, None], k + 1
 
     def _power_estimate(self, spent):
         """Power-iteration estimate of rho(K T1^{-1}), not a bound.
@@ -838,11 +950,12 @@ class TransportSolver:
         return rho
 
     def _f_flat(self, f):
-        """The source f, a raster or an analytic phantom, as an (N, 1) raster."""
+        """The source f, a raster or an analytic phantom, as an (N, 1) raster;
+        an array f is copied, so nothing built from the result aliases it."""
         if callable(f):
             raster = rasterize(f, self.grid, self.geom)
         else:
-            raster = source_raster(f, self.grid, self.geom)
+            raster = source_raster(f, self.grid, self.geom).copy()
         return raster.reshape(-1, 1)
 
     def solve(self, f):

@@ -807,6 +807,18 @@ class TestImports:
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
+    def test_scattering_forward_loads_no_dense_or_sparse_linalg(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY + "scattering.preset = isotropic\nscattering.total = 0.4\n",
+                       encoding="utf-8")
+        done = _run_python(SCIPY_PROBE, "open", "forward", "--config", str(cfg),
+                           "--out", str(tmp_path / "out"))
+        assert done.returncode == 0, done.stderr
+        loaded = done.stdout.split()
+        assert not any(m.startswith(("scipy.linalg", "scipy.sparse.linalg")) for m in loaded)
+        report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8")
+        assert "certificate = collatz-wielandt" in report
+
     def test_normal_loads_no_ndimage_or_special(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(TINY + HALF_ARC, encoding="utf-8")

@@ -222,6 +222,17 @@ class TestSolveForward:
         assert report.iterations == 1
         assert np.all(u.values == 0.0)
 
+    def test_solved_field_does_not_alias_its_source(self):
+        grid = Grid(16, 16, 1.0)
+        s = TransportSolver(GEOM, grid, sigma=AbsorptionField.zero(grid),
+                            kernel=ScatteringKernel.zero(grid), n_theta=8, n_bdry=16)
+        f = np.zeros((16, 16))
+        f[8, 8] = 1.0
+        field, _ = s.solve(f=f)
+        before = s.trace_field(field).norm()
+        f[8, 8] = 5.0
+        assert s.trace_field(field).norm() == before
+
     def test_residual_ratio_matches_spectral_radius(self):
         grid = Grid(32, 32, 1.0)
         sigma = AbsorptionField.zero(grid)
@@ -342,6 +353,24 @@ def isotropic(total):
     return lambda grid: ScatteringKernel.isotropic(grid, GEOM, total)
 
 
+def few_pixel_kernel(grid):
+    """An isotropic kernel on four pixels: a moment space of dimension 4."""
+    kappa = np.zeros((grid.ny, grid.nx))
+    kappa[10:12, 11:13] = [[0.3, 0.5], [0.4, 0.2]]
+    return ScatteringKernel(grid, ((TrigPoly.constant(1.0),
+                                    AngularField(grid, (AngularMode(0, "cos", kappa),))),))
+
+
+def forward_benchmark_solver():
+    """R = 1, R1 = 1.2, constant absorption 0.3, isotropic total 0.4: the
+    40x40 grid with 24 directions of the forward benchmark."""
+    geom = DiskGeometry(1.0, 1.2)
+    grid = Grid(40, 40, 1.2)
+    return TransportSolver(
+        geom=geom, grid=grid, sigma=AbsorptionField.constant(grid, geom, 0.3),
+        kernel=ScatteringKernel.isotropic(grid, geom, 0.4), n_theta=24, n_bdry=16)
+
+
 def henyey_greenstein(total, g):
     return lambda grid: ScatteringKernel.henyey_greenstein(grid, GEOM, total, g)
 
@@ -447,6 +476,94 @@ class TestCertificate:
         assert 1.0 - transport.CONTRACTION_MARGIN <= cert.lower <= cert.upper
         assert f"at least {cert.lower:.9g}" in str(err.value)
         assert err.value.report.spectral_radius_estimate == cert.upper
+
+    def test_forward_benchmark_config_needs_at_most_thirteen_sweeps(self):
+        solver = forward_benchmark_solver()
+        calls = counting_t1(solver)
+        solver.spectral_radius()
+        assert solver.certificate.method == "collatz-wielandt"
+        assert len(calls) == solver.certificate.applications <= 13
+
+    def test_few_pixel_kernel_spans_its_moment_space(self):
+        # D = 4 is below the Arnoldi length, so the Krylov space is the whole
+        # moment space after four steps and H breaks down there.
+        solver = self._solver(few_pixel_kernel)
+        assert len(solver.moment_layout()[1]) == 4
+        start = solver.moment_restrict(np.ones((8, solver.grid.n_pixels, 1)))
+        z, steps = solver._arnoldi_ritz(start, transport.ARNOLDI_MAX_STEPS)
+        assert steps == 4
+        Cz = solver.moment_matrix() @ z
+        ritz = float(np.sum(Cz * z) / np.sum(z * z))
+        np.testing.assert_allclose(Cz, ritz * z, rtol=0, atol=1e-13 * np.abs(Cz).max())
+        calls = counting_t1(solver)
+        rho = solver.spectral_radius()
+        cert = solver.certificate
+        assert cert.method == "collatz-wielandt"
+        assert len(calls) == cert.applications <= 1 + 4 + 2
+        assert cert.upper - cert.lower <= 1e-9 * cert.upper
+        reference = power_estimate(self._solver(few_pixel_kernel), 300)
+        assert cert.lower <= reference * (1 + 1e-13)
+        assert reference <= rho * (1 + 1e-13)
+
+    def test_arnoldi_cut_by_its_budget_spends_it(self):
+        solver = self._solver(isotropic(0.9), sigma=0.5)
+        start = solver.moment_restrict(np.ones((8, solver.grid.n_pixels, 1)))
+        calls = counting_t1(solver)
+        for budget in (1, 2, 3):
+            del calls[:]
+            z, steps = solver._arnoldi_ritz(start, budget)
+            assert steps == len(calls) == budget
+            assert z.shape == start.shape and np.all(np.isfinite(z))
+
+    def test_bracket_closes_after_a_short_arnoldi_run(self, monkeypatch):
+        monkeypatch.setattr(transport, "ARNOLDI_MAX_STEPS", 2)
+        solver = self._solver(isotropic(0.9), sigma=0.5)
+        calls = counting_t1(solver)
+        solver.spectral_radius()
+        cert = solver.certificate
+        assert cert.method == "collatz-wielandt"
+        assert len(calls) == cert.applications
+        assert cert.upper - cert.lower <= 1e-9 * cert.upper
+
+    @pytest.mark.parametrize("kernel_of", [isotropic(0.9), henyey_greenstein(0.9, 0.4)],
+                             ids=["isotropic", "hg-0.4"])
+    def test_certificate_calls_no_lapack(self, monkeypatch, kernel_of):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate called LAPACK")
+
+        for name in ("eig", "eigvals", "qr", "solve", "lstsq", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        solver = self._solver(kernel_of, sigma=0.5)
+        solver.spectral_radius()
+        assert solver.certificate.method == "collatz-wielandt"
+        assert solver.certificate.applications > 2
+
+
+class TestMomentSpace:
+    @staticmethod
+    def _solver(kernel_of):
+        grid = Grid(24, 24, 1.0)
+        return TransportSolver(geom=GEOM, grid=grid,
+                               sigma=AbsorptionField.constant(grid, GEOM, 0.5),
+                               kernel=kernel_of(grid), n_theta=8, n_bdry=16)
+
+    @pytest.mark.parametrize("kernel_of", [isotropic(0.9), henyey_greenstein(0.9, 0.4)],
+                             ids=["isotropic", "hg-3-modes"])
+    def test_moment_apply_is_the_moment_matrix(self, kernel_of):
+        solver = self._solver(kernel_of)
+        C = solver.moment_matrix()
+        z = np.random.default_rng(5).standard_normal((len(C), 3))
+        Cz = solver.moment_apply(z)
+        assert np.max(np.abs(Cz - C @ z)) <= 1e-12 * np.max(np.abs(Cz))
+
+    @pytest.mark.parametrize("kernel_of", [isotropic(0.9), henyey_greenstein(0.9, 0.4)],
+                             ids=["isotropic", "hg-3-modes"])
+    def test_lift_of_restriction_is_k_apply(self, kernel_of):
+        solver = self._solver(kernel_of)
+        u = np.random.default_rng(6).standard_normal((8, solver.grid.n_pixels, 2))
+        Ku = solver.k_apply(u)
+        lifted = solver.moment_lift(solver.moment_restrict(u))
+        assert np.max(np.abs(lifted - Ku)) <= 1e-13 * np.max(np.abs(Ku))
 
 
 class TestTracePlus:
