@@ -16,15 +16,18 @@ loads it:
 - ``along_chords(grid, origins, direction, dist, weights, counts)`` gathers
   one weighted sum per chord over the points ``origin + dist * direction``
   (the quadrature cells of one chord after another), in pixel coordinates
-  taken straight from the distances.  Consecutive cells of a chord in one
-  patch form a run: the weighted corner weights of each run are summed,
-  and the corner tests and pixel indices are done once per run, so a row
-  holds one entry per pixel, merged from its runs.
+  taken straight from the distances (``_chord_coordinates``).  Consecutive
+  cells of a chord in one patch form a run: the weighted corner weights of
+  each run are summed, and the corner tests and pixel indices are done once
+  per run, so a row holds one entry per pixel, merged from its runs.
 
 ``bilinear_sample`` samples a raster once without a matrix: it sums the
 four corner products of each point in stored order, starting from 0.0, as
 the CSR product does, so it equals ``at_points(grid, points).apply`` bit
-for bit.
+for bit.  ``chord_samples`` samples a raster once along chords, at the
+points and in the pixel coordinates of ``along_chords``: the raster is
+zero-padded wide enough that no corner needs a test, and each sample is one
+interpolation of its four corners, equal to the fold's to roundoff.
 """
 
 from __future__ import annotations
@@ -73,6 +76,20 @@ def _point_corners(grid, points):
         yield np.where(ok, pixel, 0), np.where(ok, wx[dx] * wy[dy], 0.0)
 
 
+def _chord_coordinates(grid, origins, direction, dist, counts):
+    """Pixel coordinates (u, v) of origins[c] + dist * direction, chord after chord.
+
+    Chord c owns counts[c] consecutive distances.  u = (x_c + half_width) /
+    hx - 1/2, repeated over the chord, plus dist * direction_x / hx, and v
+    likewise, so pixel centres sit at integers.
+    """
+    u = dist * (direction[0] / grid.hx)
+    u += np.repeat((origins[:, 0] + grid.half_width) / grid.hx - 0.5, counts)
+    v = dist * (direction[1] / grid.hy)
+    v += np.repeat((origins[:, 1] + grid.half_width) / grid.hy - 0.5, counts)
+    return u, v
+
+
 def csr(data, indices, indptr, shape):
     """CSR matrix from its arrays; scipy.sparse is imported on first use."""
     import scipy.sparse as sp
@@ -106,9 +123,8 @@ class BilinearGather:
         Chord c owns counts[c] >= 0 consecutive entries of dist and weights,
         chords following each other.  Row c samples sum_k weights[k] *
         (bilinear sample at origins[c] + dist[k] * direction) over the
-        entries k of chord c.  The pixel coordinates come straight from the
-        distances: u = (x_c + half_width) / hx - 1/2, repeated over the
-        chord, plus dist * direction_x / hx, and v likewise.  Consecutive
+        entries k of chord c, in the pixel coordinates of
+        _chord_coordinates, taken straight from the distances.  Consecutive
         entries of a chord in one patch form a run: the weighted corner
         weights of each run are summed, the corner tests and pixel indices
         are done once per run, and repeated pixels of a row are merged.
@@ -121,10 +137,7 @@ class BilinearGather:
         if (len(weights) != n or len(counts) != len(origins) or np.any(counts < 0)
                 or int(counts.sum()) != n):
             raise ValueError("weights and counts do not cover the distances")
-        u = np.repeat((origins[:, 0] + grid.half_width) / grid.hx - 0.5, counts)
-        u += dist * (direction[0] / grid.hx)
-        v = np.repeat((origins[:, 1] + grid.half_width) / grid.hy - 0.5, counts)
-        v += dist * (direction[1] / grid.hy)
+        u, v = _chord_coordinates(grid, origins, direction, dist, counts)
         iu = np.floor(u)
         iv = np.floor(v)
         u -= iu
@@ -167,6 +180,59 @@ class BilinearGather:
     def apply_transpose(self, values):
         """Exact transpose scatter; values shape (n,) or (n, B)."""
         return self.matrix.T @ values
+
+
+def _ring(grid, h, reach):
+    """Zero pixels to pad on each side of an axis of pixel size h so that
+    every patch corner of a coordinate in [-reach, reach] lies in the padded
+    raster, with half a pixel to spare for roundoff."""
+    return max(0, int(np.ceil((reach - grid.half_width) / h))) + 2
+
+
+def chord_samples(grid, values, origins, direction, dist, counts, reach):
+    """Bilinear samples of a flat raster at origins[c] + dist * direction.
+
+    Chords are laid out as in BilinearGather.along_chords and share its
+    pixel coordinates (_chord_coordinates), so a point's patch and
+    fractions are those of its fold; every point must lie within reach of
+    the centre in x and in y.  values has shape (N, B); the samples have
+    shape (n, B).  The raster is copied into a ring of zero
+    pixels wide enough (_ring) that every corner of such a point's patch
+    lies inside it, so a sample interpolates its four corners with no
+    corner test: top = a + fu (b - a) and bottom = c + fu (d - c) along x,
+    then top + fv (bottom - top).
+    """
+    px, py = _ring(grid, grid.hx, reach), _ring(grid, grid.hy, reach)
+    width = grid.nx + 2 * px
+    B = values.shape[1]
+    pad = np.zeros((grid.ny + 2 * py, width, B))
+    pad[py:py + grid.ny, px:px + grid.nx] = values.reshape(grid.ny, grid.nx, B)
+    pad = pad.reshape(-1, B)
+    fu, fv = _chord_coordinates(grid, origins, direction, dist, counts)
+    iu = np.floor(fu)
+    fu -= iu
+    k = np.floor(fv)
+    fv -= k
+    # Flat index of the lower-left corner in the padded raster.
+    k *= width
+    k += iu
+    del iu
+    k += py * width + px
+    k = k.astype(np.intp)
+    fu = fu[:, None]
+    fv = fv[:, None]
+    top, right = pad.take(k, axis=0), pad[1:].take(k, axis=0)
+    right -= top
+    right *= fu
+    top += right
+    bottom, right = pad[width:].take(k, axis=0), pad[width + 1:].take(k, axis=0)
+    right -= bottom
+    right *= fu
+    bottom += right
+    bottom -= top
+    bottom *= fv
+    top += bottom
+    return top
 
 
 def bilinear_sample(grid, raster, points):

@@ -37,10 +37,12 @@ from .transport import NonConvergenceError, TransportSolver, apply_J
 # (n_bdry / 2) * (2 R1 / h_ray) for every outgoing chord, as a trace without
 # a cutoff builds them; a trace under a cutoff builds only the chords where
 # it is nonzero, so this full-data count bounds it too.  Building one
-# direction's ragged live cells and their patch-run fold peaks near 85 bytes
-# an estimated cell (tracemalloc, Gaussian absorption, with or without a jump
-# circle), so the cap keeps that near 170 MiB; the default h_ray = R1 / 256
-# at n_bdry = 256 needs 65536 cells.
+# direction's ragged live cells and their patch-run fold for a raster trace
+# peaks near 71 bytes an estimated cell, and tracing an analytic phantom
+# with a scattering source sampled at its cells near 55 (tracemalloc,
+# Gaussian absorption, with or without a jump circle), so the cap keeps
+# that near 150 MiB; the default h_ray = R1 / 256 at n_bdry = 256 needs
+# 65536 cells.
 MAX_TRACE_CELLS = 2**21
 
 # Cap on pixel-directions nx * ny * n_theta.  The stacked rotation gathers

@@ -335,13 +335,18 @@ def ray_points(origins, counts, dist, direction):
     """Points origins + dist * direction, ray after ray, in contiguous columns.
 
     counts[c] distances belong to origins[c]; direction is one or one per ray.
+    Returns the transpose of one (2, n) buffer, filled coordinate by
+    coordinate.
     """
     if np.ndim(direction) == 2:
         dx, dy = np.repeat(direction[:, 0], counts), np.repeat(direction[:, 1], counts)
     else:
         dx, dy = direction
-    return np.stack([np.repeat(origins[:, 0], counts) + dist * dx,
-                     np.repeat(origins[:, 1], counts) + dist * dy]).T
+    out = np.empty((2, len(dist)))
+    for axis, d in enumerate((dx, dy)):
+        np.multiply(dist, d, out=out[axis])
+        out[axis] += np.repeat(origins[:, axis], counts)
+    return out.T
 
 
 def ray_absorption(sigma, origins, directions, lengths, step, angle):

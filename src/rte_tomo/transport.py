@@ -36,11 +36,12 @@ patch summed into one entry per corner pixel, the patches found in pixel
 coordinates taken straight from the distances); tracing is a product with
 it and the transpose trace is the product with its transpose.  Analytic
 phantoms are evaluated at the midpoints of their refined cells on every
-trace and summed chord by chord; a scattering source next to them goes
-through an operator folded from the same cells.  A trace under a cutoff chi
-is chi times the trace, and every quantity of a chord depends on that chord
-alone, so it integrates only the chords whose outgoing sample has chi != 0
-(the operators are folded once per cutoff); the full trace integrates all.
+trace, a scattering source next to them is sampled bilinearly at the same
+midpoints, and the cells are summed chord by chord, with no operator built.
+A trace under a cutoff chi is chi times the trace, and every quantity of a
+chord depends on that chord alone, so it integrates only the chords whose
+outgoing sample has chi != 0 (the operators are folded once per cutoff);
+the full trace integrates all.
 
 The scattering fixed point is only iterated when the spectral radius of
 K T1^{-1} is certified below one.  For a kernel that is nonnegative on the
@@ -63,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._interp import BilinearGather, csr
+from ._interp import BilinearGather, chord_samples, csr
 from .coefficients import (AbsorptionField, ScatteringKernel, ray_nodes, ray_points,
                            ray_step, trig_basis)
 from .geometry import cutoff_boundary_values, rotate90, uniform_angles, unit_vector
@@ -625,22 +626,29 @@ class TransportSolver:
         node_start = np.cumsum(counts + 1) - (counts + 1)
         last = node_start + counts
         # Neighbouring nodes bound a cell unless they belong to two chords.
-        delta = np.diff(nodes)
-        cell = np.ones(len(delta), dtype=bool)
+        # half holds the cell lengths until it is halved in place.
+        half = np.diff(nodes)
+        cell = np.ones(len(half), dtype=bool)
         cell[last[:-1]] = False
         if self.sigma.is_zero:
-            weights = delta[cell]
+            weights = half[cell]
+            half *= 0.5
         else:
-            sig = self.sigma.sample(ray_points(z, counts + 1, nodes, -th),
+            half *= 0.5
+            seg = self.sigma.sample(ray_points(z, counts + 1, nodes, -th),
                                     float(self.theta_angles[q]))
-            seg = 0.5 * delta * (sig[:-1] + sig[1:])
+            seg = seg[:-1] + seg[1:]
+            seg *= half
             G = np.zeros(len(nodes))
             for first, n in zip(node_start, counts):
                 np.add.accumulate(seg[first:first + n], out=G[first + 1:first + n + 1])
-            E = np.exp(-G)
-            weights = (0.5 * delta * (E[:-1] + E[1:]))[cell]
-        delta = delta[cell]
-        return out_idx, weights, counts, nodes[:-1][cell] + 0.5 * delta
+            E = np.exp(np.negative(G, out=G), out=G)
+            weights = E[:-1] + E[1:]
+            weights *= half
+            weights = weights[cell]
+        dist = nodes[:-1][cell]
+        dist += half[cell]
+        return out_idx, weights, counts, dist
 
     @staticmethod
     def _jump_nodes(z, L, th, circles):
@@ -714,10 +722,11 @@ class TransportSolver:
         are integrated, the rest reading 0 (without a cutoff chi is 1, and
         multiplying by it is exact).  Raster sources go through the cached
         per-direction operators.  An analytic phantom is evaluated at the
-        midpoints of the live cells refined at its jump circles and summed
-        chord by chord; a scattering source next to it goes through an
-        exit-chord operator folded from the distances of the same cells.
-        Returns boundary values (n_bdry, n_theta, B).
+        midpoints of the live cells refined at its jump circles; a
+        scattering source next to it is sampled bilinearly at the same
+        midpoints (chord_samples, in the fold's pixel coordinates) and added
+        to it, and the weighted cells are summed chord by chord, so no
+        operator is built.  Returns boundary values (n_bdry, n_theta, B).
         """
         analytic = callable(f_part)
         B = scatter.shape[2] if scatter is not None else (
@@ -734,17 +743,20 @@ class TransportSolver:
                 out[rows, q] = chi * op.apply(src)
             return out
         circles = f_part.jump_circles()
+        reach = self.geom.radius_outer
         for q, rows, chi in self._trace_rows(spec):
             _, weights, counts, dist = self._chord_cells(q, circles, rows)
             z, back = self.bgrid.points[rows], -self.theta_vecs[q]
-            mids = ray_points(z, counts, dist, back)
-            vals = weights * np.asarray(f_part(mids), dtype=float).reshape(-1)
-            # Every outgoing chord has at least one live cell.
-            vals = np.add.reduceat(vals, np.cumsum(counts) - counts)[:, None]
+            vals = np.asarray(f_part(ray_points(z, counts, dist, back)),
+                              dtype=float).reshape(-1, 1)
             if scatter is not None:
-                op = BilinearGather.along_chords(self.grid, z, back, dist, weights, counts)
-                vals = vals + op.apply(scatter[q])
-            out[rows, q] = chi * vals
+                vals = chord_samples(self.grid, scatter[q], z, back, dist, counts,
+                                     reach) + vals
+            # Every outgoing chord has at least one live cell.
+            out[rows, q] = chi * np.add.reduceat(weights[:, None] * vals,
+                                                 np.cumsum(counts) - counts)
+            # Free this direction's cells before the next are built.
+            del weights, dist, vals
         return out
 
     def trace_transpose(self, cot, spec=None):

@@ -11,6 +11,7 @@ from rte_tomo.coefficients import (
     TrigPoly,
     extension_profile,
     ray_absorption,
+    ray_points,
     ray_step,
 )
 from rte_tomo.geometry import exit_points, smooth_step
@@ -57,6 +58,25 @@ class TestAttenuationE:
         ref = math.exp(-simpson(svals, x=ts))
         got = exit_attenuation(sigma, GEOM, x, theta, 1.2 / 2048)
         assert got == pytest.approx(ref, rel=1e-6)
+
+
+def test_ray_points_match_the_stacked_formula_bit_for_bit():
+    rng = np.random.default_rng(3)
+    counts = np.array([4, 0, 7, 1, 0, 5])
+    origins = rng.uniform(-1.2, 1.2, (len(counts), 2))
+    dist = rng.uniform(0.0, 2.4, counts.sum())
+    angles = rng.uniform(0.0, 2.0 * math.pi, len(counts))
+    per_ray = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    for direction in (per_ray[2], per_ray):
+        if direction.ndim == 2:
+            dx, dy = (np.repeat(direction[:, k], counts) for k in (0, 1))
+        else:
+            dx, dy = direction
+        want = np.stack([np.repeat(origins[:, 0], counts) + dist * dx,
+                         np.repeat(origins[:, 1], counts) + dist * dy]).T
+        got = ray_points(origins, counts, dist, direction)
+        assert got.shape == (counts.sum(), 2)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestAbsorptionPresets:

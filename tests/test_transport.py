@@ -948,6 +948,28 @@ class TestAdjointPairs:
         rhs = float(np.sum(scatter * s.trace_transpose(cot)))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    @pytest.mark.parametrize("case", list(FOLD_CASES))
+    def test_analytic_trace_samples_scatter_at_its_cells(self, case):
+        grid, h_ray = self.FOLD_CASES[case]
+        sigma = AbsorptionField.gaussian(grid, GEOM, 0.5, width=0.4)
+        s = TransportSolver(geom=GEOM, grid=grid, sigma=sigma, n_theta=8,
+                            n_bdry=24, h_ray=h_ray)
+        phantom = DiskPhantom(center=(0.15, -0.1), radius=0.45, value=1.3)
+        if case == "raster-edge":
+            # The scattering source is sampled at cells more than one pixel
+            # beyond the raster: the zero ring around it must reach them.
+            out_idx, _, counts, dist = s._chord_cells(1, phantom.jump_circles())
+            mids = cell_midpoints(s, 1, out_idx, counts, dist)
+            assert np.any(np.abs(mids) > grid.half_width + grid.hx)
+        rng = np.random.default_rng(15)
+        scatter = rng.standard_normal((8, grid.n_pixels, 2))
+        ref = self._cell_reference(s, scatter, phantom)
+        spec = TestRestrictedTrace.SPEC
+        for cutoff, want in ((None, ref), (spec, s.chi_values(spec)[..., None] * ref)):
+            got = s.trace_phase(scatter, phantom, cutoff)
+            assert np.any(got != 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_fold_with_jump_on_lattice_node(self):
         s = self._solver()
         # The x axis crosses this circle at 0.25 and 0.75 back from (1, 0),
@@ -1202,6 +1224,16 @@ class TestRestrictedTrace:
         assert np.all(s.xv_transpose(np.ones((s.bgrid.n_bdry, s.n_theta, 1)), empty, 2) == 0.0)
         for source in ({"f": f}, {"f": DiskPhantom(radius=0.4, value=1.0)}):
             assert np.all(s.measurement(empty, **source)[0].values == 0.0)
+        assert builds == []
+
+    def test_phantom_traces_build_no_operator(self, monkeypatch):
+        s = self._solver()
+        builds = counting_along_chords(monkeypatch)
+        phantom = DiskPhantom(center=(0.1, -0.2), radius=0.4, value=1.3)
+        field, _ = s.solve(phantom)
+        assert field.source_scatter is not None
+        assert np.any(s.trace_field(field).values != 0.0)
+        assert np.any(s.measurement(self.SPEC, phantom)[0].values != 0.0)
         assert builds == []
 
     def test_each_direction_is_built_once(self, monkeypatch):
